@@ -9,6 +9,7 @@ directory resolves relative to the working directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -317,6 +318,18 @@ def _echo_initial_state(state: dict) -> dict:
     return out
 
 
+def _reject_non_finite(token: str):
+    raise ValueError(f"non-finite number {token} (NaN and Infinity are not JSON)")
+
+
+def _finite_float(token: str) -> float:
+    """JSON float literal; one that overflows to infinity is rejected."""
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_non_finite(token)
+    return value
+
+
 def load_config(
     path,
     seed_override: int | None = None,
@@ -334,8 +347,8 @@ def load_config(
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float)
+    except ValueError as exc:  # JSONDecodeError, or a non-finite number
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

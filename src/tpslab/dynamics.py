@@ -17,10 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, check_density_matrix, eigh, kron, purity, require_hermitian
-from .projections import ProjectionSpec, TypeIProjection, check_compatible
-from .relativity import commutator_defect, cross_relevance_matrix, mutual_information
-from .structures import Structure, reduced_state, to_structure_basis
+from .linalg import (
+    _checked_spectrum,
+    _propagator_from_eigh,
+    _spectral_entropy,
+    as_matrix,
+    check_density_matrix,
+    eigh,
+    kron,
+    purity,
+    require_hermitian,
+)
+from .projections import ProjectionSpec, TypeIProjection, _project_in_basis, check_compatible
+from .relativity import _commutator_defect, _reduce_complement, _split_entropies
+from .structures import Structure, from_structure_basis, to_structure_basis
 
 GENERATOR_NAME = "pcg64+splitmix64+box-muller:v1"
 
@@ -79,7 +89,6 @@ class RandomStream:
 
     def ginibre_density(self, dim: int, rank: int) -> np.ndarray:
         """G G^H / tr(G G^H) for a dim x rank complex Gaussian G."""
-        _check_dim(dim)
         if not 1 <= rank <= dim:
             raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
         g = self.complex_matrix(dim, rank)
@@ -190,8 +199,7 @@ def evolve(rho0, h: Hamiltonian, t: float) -> np.ndarray:
     rho0 = check_density_matrix(rho0)
     if rho0.shape[0] != h.dim:
         raise ValueError(f"evolve: state dim {rho0.shape[0]} does not match hamiltonian dim {h.dim}")
-    w, v = eigh(h.mat, name="hamiltonian")
-    u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    u = _propagator_from_eigh(*eigh(h.mat, name="hamiltonian"), t)
     return u @ rho0 @ u.conj().T
 
 
@@ -241,6 +249,12 @@ def trajectory(
     state; no projection feeds back into the dynamics.  The commutator
     defect is recorded as NaN unless both specs are type_i (its defined
     scope).
+
+    The inputs are validated here, once.  At each time the evolved state is
+    validated once and its spectrum gives S(rho_t); each structure changes
+    basis once and yields both reductions and the single projection, which
+    serves both the complement and the commutator.  The values equal those
+    of the public functions called one by one.
     """
     rho0 = check_density_matrix(rho0)
     if not (rho0.shape[0] == h.dim == s_a.total_dim == s_b.total_dim):
@@ -252,16 +266,21 @@ def trajectory(
     w, v = eigh(h.mat, name="hamiltonian")
     points = []
     for t in grid.times():
-        u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+        # full-dimension temporaries are dropped as soon as they are used, so
+        # at most a few d x d arrays are alive at once
+        u = _propagator_from_eigh(w, v, t)
         rho_t = u @ rho0 @ u.conj().T
+        del u
         rho_t = (rho_t + rho_t.conj().T) / 2
-        rep_ab = cross_relevance_matrix(rho_t, s_a, spec_a, s_b)
-        rep_ba = cross_relevance_matrix(rho_t, s_b, spec_b, s_a)
-        red_s = reduced_state(rho_t, s_a, "S")
-        red_sp = reduced_state(rho_t, s_b, "S")
+        entropy_t = _spectral_entropy(_checked_spectrum(rho_t)[1])
+        red_s, mi_a, p_a_rho = _split_data(rho_t, s_a, spec_a, entropy_t)
+        red_sp, mi_b, p_b_rho = _split_data(rho_t, s_b, spec_b, entropy_t)
+        rep_ab = _reduce_complement(rho_t - p_a_rho, s_b)
+        rep_ba = _reduce_complement(rho_t - p_b_rho, s_a)
         defect2 = (
-            commutator_defect(rho_t, s_a, spec_a, s_b, spec_b) if both_type_i else math.nan
+            _commutator_defect(p_a_rho, p_b_rho, s_a, spec_a, s_b, spec_b) if both_type_i else math.nan
         )
+        del rho_t, p_a_rho, p_b_rho
         points.append(
             TrajectoryPoint(
                 t=float(t),
@@ -271,10 +290,21 @@ def trajectory(
                 lemma1_b_to_a=rep_ba.trace_norm_defect,
                 lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
                 lemma2_defect=defect2,
-                mi_a=mutual_information(rho_t, s_a),
-                mi_b=mutual_information(rho_t, s_b),
+                mi_a=mi_a,
+                mi_b=mi_b,
                 purity_s=purity(red_s),
                 purity_sprime=purity(red_sp),
             )
         )
     return TrajectoryRecord(points=tuple(points))
+
+
+def _split_data(
+    rho: np.ndarray, s: Structure, spec: ProjectionSpec, entropy_total: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """System reduction, mutual information and projection ``P rho`` of a
+    validated state for one structure, from a single change of basis."""
+    m = to_structure_basis(rho, s)
+    red_s, entropy_s, entropy_e = _split_entropies(m, s)
+    p_rho = from_structure_basis(_project_in_basis(m, s, spec), s)
+    return red_s, entropy_s + entropy_e - entropy_total, p_rho

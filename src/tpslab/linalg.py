@@ -71,8 +71,9 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> 
     return m
 
 
-def check_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return the array."""
+def _checked_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
+    """Validate Hermiticity, unit trace and positivity; return the array and
+    its ascending spectrum, which callers reuse instead of recomputing it."""
     rho = require_hermitian(rho, name=name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
@@ -80,7 +81,12 @@ def check_density_matrix(rho, name: str = "rho") -> np.ndarray:
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if w[0] < PSD_FLOOR:
         raise ValueError(f"{name}: not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    return rho
+    return rho, w
+
+
+def check_density_matrix(rho, name: str = "rho") -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity; return the array."""
+    return _checked_spectrum(rho, name)[0]
 
 
 def check_pure_state(psi, name: str = "psi") -> np.ndarray:
@@ -135,10 +141,14 @@ def eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _propagator_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) from the eigendata ``(w, v)`` of :func:`eigh`."""
+    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+
+
 def propagator(h, t: float) -> np.ndarray:
     """exp(-i h t) via eigendecomposition; exactly unitary for Hermitian h."""
-    w, v = eigh(h, name="propagator generator")
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    return _propagator_from_eigh(*eigh(h, name="propagator generator"), t)
 
 
 def trace_norm(m) -> float:
@@ -195,9 +205,12 @@ def schmidt(psi, dim_a: int, dim_b: int) -> SchmidtDecomposition:
     return SchmidtDecomposition(coeffs=s, left_vectors=u, right_vectors=vh.T)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(p ln p) in nats; eigenvalues below 1e-12 contribute 0."""
-    rho = check_density_matrix(rho)
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+def _spectral_entropy(w: np.ndarray) -> float:
+    """-sum(p ln p) over a validated spectrum; eigenvalues below 1e-12 contribute 0."""
     w = w[w > ENTROPY_EIGVAL_FLOOR]
     return float(-(w * np.log(w)).sum())
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy -sum(p ln p) in nats; eigenvalues below 1e-12 contribute 0."""
+    return _spectral_entropy(_checked_spectrum(rho)[1])

@@ -192,6 +192,12 @@ def apply_projection(mat, s: Structure, spec: ProjectionSpec) -> np.ndarray:
     this is the raw superoperator, usable on complements and commutators.
     """
     m = to_structure_basis(require_square(mat, "projection input"), s)
+    return from_structure_basis(_project_in_basis(m, s, spec), s)
+
+
+def _project_in_basis(m: np.ndarray, s: Structure, spec: ProjectionSpec) -> np.ndarray:
+    """The projection on an operator given, and returned, in the structure's
+    own product basis; trusted kernel of :func:`apply_projection`."""
     ds, de = s.dim_s, s.dim_e
     if isinstance(spec, TypeIProjection):
         out = kron(partial_trace(m, ds, de, "A"), spec.rho_ref)
@@ -207,7 +213,7 @@ def apply_projection(mat, s: Structure, spec: ProjectionSpec) -> np.ndarray:
             out += kron(partial_trace(kron(eye_s, p_e) @ m, ds, de, "A"), p_e)
     else:
         raise TypeError(f"unknown projection spec type {type(spec).__name__}")
-    return from_structure_basis(out, s)
+    return out
 
 
 def project(rho, s: Structure, spec: ProjectionSpec) -> np.ndarray:
@@ -221,6 +227,11 @@ def complement(rho, s: Structure, spec: ProjectionSpec) -> np.ndarray:
     """Irrelevant part: the state minus its projection; traceless."""
     rho = check_density_matrix(rho)
     check_compatible(s, spec)
+    return _complement(rho, s, spec)
+
+
+def _complement(rho: np.ndarray, s: Structure, spec: ProjectionSpec) -> np.ndarray:
+    """Trusted kernel of :func:`complement`: state and spec already checked."""
     return rho - apply_projection(rho, s, spec)
 
 

@@ -18,21 +18,22 @@ import numpy as np
 
 from .linalg import (
     InvariantViolation,
+    _checked_spectrum,
+    _spectral_entropy,
     as_vector,
     check_density_matrix,
     check_pure_state,
     eigh,
     kron,
-    partial_trace,
     schmidt,
     trace_norm,
-    von_neumann_entropy,
 )
-from .projections import ProjectionSpec, TypeIProjection, apply_projection, check_compatible, complement
+from .projections import ProjectionSpec, TypeIProjection, _complement, apply_projection, check_compatible
 from .structures import (
     Structure,
+    _check_total_dim,
+    _reduce,
     from_structure_basis,
-    reduced_state,
     to_structure_basis,
     transition_matrix,
     vector_to_structure_basis,
@@ -80,10 +81,15 @@ def cross_relevance_matrix(
     projection adapted to ``s_from`` discards information about ``s_to``'s
     system.
     """
-    q = complement(rho, s_from, spec)
-    q_to = to_structure_basis(q, s_to)
-    d = partial_trace(q_to, s_to.dim_s, s_to.dim_e, "A")
-    return _checked_report(d, "cross_relevance_matrix")
+    rho = check_density_matrix(rho)
+    check_compatible(s_from, spec)
+    return _reduce_complement(_complement(rho, s_from, spec), s_to)
+
+
+def _reduce_complement(q: np.ndarray, s_to: Structure) -> DefectReport:
+    """Trusted kernel of :func:`cross_relevance_matrix`: reduce an already
+    formed complement over ``s_to``'s environment and check its trace."""
+    return _checked_report(_reduce(to_structure_basis(q, s_to), s_to, "S"), "cross_relevance_matrix")
 
 
 def defect_matrix_pure_coeffs(
@@ -297,21 +303,46 @@ def commutator_defect(
     rho = check_density_matrix(rho)
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
-    ab = apply_projection(apply_projection(rho, s_b, spec_b), s_a, spec_a)
-    ba = apply_projection(apply_projection(rho, s_a, spec_a), s_b, spec_b)
-    return trace_norm(ab - ba)
+    return _commutator_defect(
+        apply_projection(rho, s_a, spec_a), apply_projection(rho, s_b, spec_b), s_a, spec_a, s_b, spec_b
+    )
+
+
+def _commutator_defect(
+    p_a_rho: np.ndarray,
+    p_b_rho: np.ndarray,
+    s_a: Structure,
+    spec_a: ProjectionSpec,
+    s_b: Structure,
+    spec_b: ProjectionSpec,
+) -> float:
+    """Trusted kernel of :func:`commutator_defect`: the trace norm of
+    ``P_A P_B rho - P_B P_A rho`` from the single projections ``P_A rho``
+    and ``P_B rho``."""
+    comm = apply_projection(p_b_rho, s_a, spec_a)
+    comm -= apply_projection(p_a_rho, s_b, spec_b)
+    return trace_norm(comm)
 
 
 def mutual_information(rho, s: Structure) -> float:
     """S(rho_S) + S(rho_E) - S(rho) with reductions taken in the given split
     (nats).  Nonnegative up to roundoff; zero exactly on product states of
     the split."""
-    rho = check_density_matrix(rho)
-    return (
-        von_neumann_entropy(reduced_state(rho, s, "S"))
-        + von_neumann_entropy(reduced_state(rho, s, "E"))
-        - von_neumann_entropy(rho)
-    )
+    rho, spectrum = _checked_spectrum(rho)
+    _check_total_dim(rho, s, "reduced_state")
+    _, entropy_s, entropy_e = _split_entropies(to_structure_basis(rho, s), s)
+    return entropy_s + entropy_e - _spectral_entropy(spectrum)
+
+
+def _split_entropies(m: np.ndarray, s: Structure) -> tuple[np.ndarray, float, float]:
+    """Trusted kernel of :func:`mutual_information`: from a state already in
+    the structure's basis, its system reduction and the entropies of both
+    reductions.  Each reduction is validated once, and its entropy comes
+    from that validation's spectrum."""
+    red_s = _reduce(m, s, "S")
+    entropy_s = _spectral_entropy(_checked_spectrum(red_s, "reduced S state")[1])
+    entropy_e = _spectral_entropy(_checked_spectrum(_reduce(m, s, "E"), "reduced E state")[1])
+    return red_s, entropy_s, entropy_e
 
 
 def bell_pair() -> np.ndarray:

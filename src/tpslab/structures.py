@@ -6,13 +6,19 @@ fixed reference basis.  Permutation unitaries regroup elementary factors;
 general unitaries realize arbitrary redefinitions of the degrees of freedom.
 State and operator coordinates live in the reference basis unless a function
 says otherwise.
+
+A structure whose unitary is exactly a permutation matrix (groupings, the
+identity, permutation matrix files) changes the basis of an operator by an
+index gather, which equals the dense product bit for bit; any other unitary
+takes the dense matrix products.  The unitary itself is always kept: it is
+the reference that transition matrices and expansion coefficients read.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +69,11 @@ class Structure:
     ``m * dim_e + n`` is the product vector ``|m>_S (x) |n>_E`` in reference
     coordinates.  Unitarity of ``w`` is exactly the orthonormality constraint
     on the change-of-structure coefficients.
+
+    When ``w`` is exactly a permutation matrix, ``perm`` holds ``(p, inv)``
+    with ``w[p[k], k] == 1`` and ``inv`` the inverse permutation; basis
+    changes then gather indices instead of multiplying by ``w``.  It is
+    ``None`` for every other unitary.
     """
 
     total_dim: int
@@ -70,6 +81,7 @@ class Structure:
     dim_e: int
     w: np.ndarray
     label: str = ""
+    perm: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         w = require_square(as_matrix(self.w, "structure unitary"), "structure unitary")
@@ -89,6 +101,23 @@ class Structure:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "perm", _permutation_of(w))
+
+
+def _permutation_of(w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(p, inv)`` when ``w`` has exactly one entry equal to 1 per column and
+    no other nonzero entry, else ``None``.  ``w`` is already known unitary,
+    so the rows ``p`` are distinct."""
+    if np.count_nonzero(w) != w.shape[0]:
+        return None
+    ones = w == 1
+    if not np.all(ones.sum(axis=0) == 1):
+        return None
+    p = np.argmax(ones, axis=0)
+    inv = np.argsort(p)
+    p.setflags(write=False)
+    inv.setflags(write=False)
+    return p, inv
 
 
 def identity_structure(dim_s: int, dim_e: int, label: str = "reference") -> Structure:
@@ -143,6 +172,9 @@ def to_structure_basis(m, s: Structure) -> np.ndarray:
     """Express an operator in the structure's product basis: ``W^H m W``."""
     m = require_square(m, "to_structure_basis input")
     _check_total_dim(m, s, "to_structure_basis")
+    if s.perm is not None:
+        p = s.perm[0]
+        return m[np.ix_(p, p)]
     return s.w.conj().T @ m @ s.w
 
 
@@ -150,6 +182,9 @@ def from_structure_basis(m, s: Structure) -> np.ndarray:
     """Inverse of :func:`to_structure_basis`: ``W m W^H``."""
     m = require_square(m, "from_structure_basis input")
     _check_total_dim(m, s, "from_structure_basis")
+    if s.perm is not None:
+        inv = s.perm[1]
+        return m[np.ix_(inv, inv)]
     return s.w @ m @ s.w.conj().T
 
 
@@ -162,13 +197,9 @@ def vector_to_structure_basis(psi, s: Structure) -> np.ndarray:
     return s.w.conj().T @ psi
 
 
-def vector_from_structure_basis(psi, s: Structure) -> np.ndarray:
-    psi = as_vector(psi, "vector_from_structure_basis input")
-    if psi.size != s.total_dim:
-        raise ValueError(
-            f"vector_from_structure_basis: dim {psi.size} does not match structure dim {s.total_dim}"
-        )
-    return s.w @ psi
+def _reduce(m: np.ndarray, s: Structure, which: str) -> np.ndarray:
+    """Partial trace of an operator already in the structure's basis; trusted."""
+    return partial_trace(m, s.dim_s, s.dim_e, "A" if which == "S" else "B")
 
 
 def reduced_state(rho, s: Structure, which: str) -> np.ndarray:
@@ -177,8 +208,7 @@ def reduced_state(rho, s: Structure, which: str) -> np.ndarray:
     _check_total_dim(rho, s, "reduced_state")
     if which not in ("S", "E"):
         raise ValueError(f"reduced_state: which must be 'S' or 'E', got {which!r}")
-    m = to_structure_basis(rho, s)
-    red = partial_trace(m, s.dim_s, s.dim_e, "A" if which == "S" else "B")
+    red = _reduce(to_structure_basis(rho, s), s, which)
     return check_density_matrix(red, name=f"reduced {which} state")
 
 

@@ -1,25 +1,35 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from tpslab import (
+    FactorLayout,
     Hamiltonian,
     RandomStream,
     TimeGrid,
+    TrajectoryPoint,
     TypeIProjection,
+    commutator_defect,
+    computational_type_iii,
+    cross_relevance_matrix,
     evolve,
     identity_structure,
     kron,
     maximally_mixed,
     mix_seed,
+    mutual_information,
+    purity,
     random_density,
     random_hamiltonian,
     random_pure,
     random_unitary,
+    reduced_state,
+    structure_from_grouping,
     trajectory,
 )
-from conftest import max_mixed_spec, stream, teleport_setup
+from conftest import haar_structure, max_mixed_spec, stream, teleport_setup
 
 
 class TestMixSeed:
@@ -219,3 +229,81 @@ class TestTrajectory:
             max_mixed_spec(2),
         )
         assert all(math.isnan(p.lemma2_defect) for p in rec.points)
+
+
+def public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b):
+    """The per-point loop through the public functions, each validating its
+    own input: the reference the shared-work trajectory must reproduce."""
+    w, v = np.linalg.eigh((h.mat + h.mat.conj().T) / 2)
+    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
+    points = []
+    for t in grid.times():
+        u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+        rho_t = u @ rho0 @ u.conj().T
+        rho_t = (rho_t + rho_t.conj().T) / 2
+        rep_ab = cross_relevance_matrix(rho_t, s_a, spec_a, s_b)
+        rep_ba = cross_relevance_matrix(rho_t, s_b, spec_b, s_a)
+        red_s = reduced_state(rho_t, s_a, "S")
+        red_sp = reduced_state(rho_t, s_b, "S")
+        defect2 = commutator_defect(rho_t, s_a, spec_a, s_b, spec_b) if both_type_i else math.nan
+        points.append(
+            TrajectoryPoint(
+                t=float(t),
+                rho_s_eigenvalues=np.linalg.eigvalsh(red_s),
+                rho_sprime_eigenvalues=np.linalg.eigvalsh(red_sp),
+                lemma1_a_to_b=rep_ab.trace_norm_defect,
+                lemma1_b_to_a=rep_ba.trace_norm_defect,
+                lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
+                lemma2_defect=defect2,
+                mi_a=mutual_information(rho_t, s_a),
+                mi_b=mutual_information(rho_t, s_b),
+                purity_s=purity(red_s),
+                purity_sprime=purity(red_sp),
+            )
+        )
+    return points
+
+
+FOUR_QUBITS = FactorLayout((2, 2, 2, 2))
+
+
+def _nested_groupings():
+    return (
+        structure_from_grouping(FOUR_QUBITS, (0,)),
+        max_mixed_spec(8),
+        structure_from_grouping(FOUR_QUBITS, (0, 1)),
+        max_mixed_spec(4),
+    )
+
+
+def _non_nested_with_type_iii():
+    return (
+        structure_from_grouping(FOUR_QUBITS, (0, 1)),
+        computational_type_iii(4),
+        structure_from_grouping(FOUR_QUBITS, (1, 3)),
+        max_mixed_spec(4),
+    )
+
+
+def _grouping_and_haar():
+    return (
+        structure_from_grouping(FOUR_QUBITS, (2,)),
+        max_mixed_spec(8),
+        haar_structure(16, 4, 163),
+        max_mixed_spec(4),
+    )
+
+
+class TestTrajectoryMatchesPublicRoute:
+    @pytest.mark.parametrize("setup", [_nested_groupings, _non_nested_with_type_iii, _grouping_and_haar])
+    def test_every_field_exactly_equal(self, setup):
+        s_a, spec_a, s_b, spec_b = setup()
+        rho0 = stream(161).ginibre_density(16, 3)
+        h = random_hamiltonian(16, 162)
+        grid = TimeGrid(0.0, 2.0, 5)
+        got = trajectory(rho0, h, grid, s_a, spec_a, s_b, spec_b).points
+        want = public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            for f in dataclasses.fields(TrajectoryPoint):
+                np.testing.assert_array_equal(getattr(p, f.name), getattr(q, f.name), err_msg=f.name)

@@ -177,6 +177,52 @@ class TestDCoefficients:
         np.testing.assert_allclose(t.conj().T @ t, np.eye(4), atol=1e-12)
 
 
+def _dense_pair(m, s):
+    return s.w.conj().T @ m @ s.w, s.w @ m @ s.w.conj().T
+
+
+class TestPermutationGather:
+    """Permutation structures gather indices; the result must equal the dense
+    products with ``w`` bit for bit."""
+
+    LAYOUT = FactorLayout((2, 3, 2))
+
+    def assert_gather_matches_dense(self, s, seed):
+        assert s.perm is not None
+        m = stream(seed).complex_matrix(s.total_dim, s.total_dim)
+        to_dense, from_dense = _dense_pair(m, s)
+        np.testing.assert_array_equal(to_structure_basis(m, s), to_dense)
+        np.testing.assert_array_equal(from_structure_basis(m, s), from_dense)
+
+    @pytest.mark.parametrize("selected", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    def test_groupings(self, selected):
+        self.assert_gather_matches_dense(structure_from_grouping(self.LAYOUT, selected), 33)
+
+    def test_identity_structure(self):
+        self.assert_gather_matches_dense(identity_structure(3, 4), 34)
+
+    def test_permutation_matrix_file(self, tmp_path):
+        perm = np.random.default_rng(35).permutation(12)
+        path = tmp_path / "perm.tpsw"
+        write_matrix_file(path, np.eye(12)[:, perm], split_dim=4)
+        s = read_structure_file(path)
+        np.testing.assert_array_equal(s.perm[0], perm)
+        self.assert_gather_matches_dense(s, 36)
+
+    def test_haar_structure_takes_dense_path(self):
+        s = haar_structure(12, 3, 37)
+        assert s.perm is None
+        m = stream(38).complex_matrix(12, 12)
+        to_dense, from_dense = _dense_pair(m, s)
+        np.testing.assert_array_equal(to_structure_basis(m, s), to_dense)
+        np.testing.assert_array_equal(from_structure_basis(m, s), from_dense)
+
+    def test_signed_permutation_takes_dense_path(self):
+        w = np.eye(4, dtype=np.complex128)[:, [2, 0, 3, 1]]
+        w[0, 1] = -1.0
+        assert structure_from_unitary(w, 2, 2).perm is None
+
+
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         m = stream(30).complex_matrix(3, 3)
