@@ -1,7 +1,8 @@
 """Command-line entry: run and validate scenario configs.
 
-Exit codes: 0 success, 1 invalid config, 2 invariant violation during a run.
-Errors print a single JSON line on stderr.
+Exit codes: 0 success, 1 invalid config, 2 invariant violation during a run,
+3 the operating system refused an operation of the run (writing the report,
+or starting worker processes).  Errors print a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def main(argv=None) -> int:
         paths = run_scenario(cfg)
     except InvariantViolation as exc:
         return _fail("invariant", str(exc), 2)
+    except OSError as exc:
+        return _fail("io", str(exc), 3)
     print(f"summary: {paths.summary}")
     print(f"series: {paths.series}")
     return 0

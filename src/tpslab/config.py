@@ -4,6 +4,11 @@ Configs are UTF-8 JSON objects with a mandatory ``"version": 1``.  Unknown
 keys are fatal everywhere -- there is no silent typo tolerance.  File paths
 inside a config resolve relative to the config file's directory; the output
 directory resolves relative to the working directory.
+
+A layout's total dimension is capped at ``MAX_TOTAL_DIM`` (4096, twelve
+qubits).  Scenarios hold dense ``complex128`` operators of that dimension,
+256 MiB each at the cap, so a larger layout is rejected as a config error
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .structures import (
 SCENARIOS = ("teleport-check", "lemma1-sweep", "lemma2-sweep", "qcr-demo", "dynamics-trace")
 
 _MAX_SEED = (1 << 64) - 1
+MAX_TOTAL_DIM = 4096
 
 # Keys admitted per scenario, beyond the common required set.
 _COMMON_KEYS = {"version", "scenario", "base_seed", "output_dir", "trials"}
@@ -120,6 +126,9 @@ def _parse_layout(obj, name: str) -> FactorLayout:
     dims = tuple(_require_int(d, f"{name} entry", minimum=2) for d in obj)
     if len(dims) < 2:
         raise ConfigError(f"{name}: at least two factors are needed to define a split")
+    total = math.prod(dims)
+    if total > MAX_TOTAL_DIM:
+        raise ConfigError(f"{name}: total dimension {total} exceeds the cap of {MAX_TOTAL_DIM}")
     return FactorLayout(dims)
 
 

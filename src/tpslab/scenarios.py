@@ -5,6 +5,14 @@ A report is a ``summary.json`` (config echo plus aggregate statistics) and a
 significant digits so values round-trip exactly; identical config and seed
 give byte-identical CSV on one platform.  Files are written to a temp path
 and atomically renamed.
+
+The trials of ``lemma1-sweep``, ``lemma2-sweep`` and ``qcr-demo`` run in
+forked worker processes, one per available CPU, each with one OpenBLAS
+thread; the rows are merged in trial order.  Each trial seeds its own
+stream and runs at one BLAS thread, in a worker or in this process, so the
+report bytes do not depend on the worker count (without numpy's bundled
+OpenBLAS, trials run in this process at its BLAS thread count).
+``teleport-check`` and ``dynamics-trace`` run in this process.
 """
 
 from __future__ import annotations
@@ -20,16 +28,41 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .dynamics import GENERATOR_NAME, RandomStream, mix_seed, trajectory
-from .linalg import InvariantViolation, kron, maximally_mixed, purity, trace_norm
-from .projections import TypeIProjection, project, relevance_defect
+from .linalg import (
+    InvariantViolation,
+    _checked_spectrum,
+    _spectral_entropy,
+    check_density_matrix,
+    kron,
+    maximally_mixed,
+    purity,
+    trace_norm,
+)
+from .projections import (
+    TypeIProjection,
+    _complement,
+    apply_projection,
+    check_compatible,
+    project,
+    relevance_defect,
+)
 from .relativity import (
+    _commutator_defect,
+    _reduce_complement,
+    _split_entropies,
     bell_pair,
     commutator_defect,
-    cross_relevance_matrix,
-    mutual_information,
     teleport_state,
 )
-from .structures import FactorLayout, from_structure_basis, reduced_state, structure_from_grouping, structure_from_unitary
+from .structures import (
+    FactorLayout,
+    Structure,
+    from_structure_basis,
+    reduced_state,
+    structure_from_grouping,
+    structure_from_unitary,
+    to_structure_basis,
+)
 
 DEFECT_THRESHOLD = 1e-6
 
@@ -181,18 +214,136 @@ def _teleport_check(cfg: ScenarioConfig):
     return results, header, rows
 
 
-def _draw_state(stream: RandomStream, total: int, trial: int) -> tuple[str, np.ndarray]:
+# Each worker's trials are split into this many contiguous chunks, so that
+# one slow chunk leaves the other workers idle for a short time only.
+_CHUNKS_PER_WORKER = 4
+
+# (trial_fn, cfg) inside a pool worker; set by the worker's initializer.
+_worker_task = None
+
+
+def _openblas_thread_api():
+    """``(get_num_threads, set_num_threads)`` of numpy's bundled OpenBLAS,
+    through ctypes, or None when that library is not found."""
+    import ctypes
+
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs_dir.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def _init_worker(set_blas_threads, trial_fn, cfg) -> None:
+    # One BLAS thread per worker: workers already fill the CPUs, and BLAS
+    # threads on top of them spin-wait against each other.
+    global _worker_task
+    set_blas_threads(1)
+    _worker_task = (trial_fn, cfg)
+
+
+def _run_chunk(bounds: tuple[int, int]) -> list[list]:
+    trial_fn, cfg = _worker_task
+    return [trial_fn(cfg, trial) for trial in range(*bounds)]
+
+
+def _map_trials(trial_fn, cfg: ScenarioConfig, workers: int | None = None) -> list[list]:
+    """The rows ``trial_fn(cfg, trial)`` for every trial, in trial order.
+
+    Trials run at one OpenBLAS thread each: in forked worker processes, one
+    per available CPU and at most one per trial (``workers`` overrides the
+    CPU count), or in this process when there are fewer than 2 workers or
+    no ``fork`` start method.  Every trial seeds its own stream, so the rows
+    do not depend on the worker count.  When numpy's OpenBLAS is not found,
+    the trials run in this process at its BLAS thread count.  An exception
+    raised by a trial is raised here.
+    """
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    trials = cfg.trials
+    workers = min(workers, trials)
+    blas = _openblas_thread_api()
+    if blas is None:
+        return [trial_fn(cfg, trial) for trial in range(trials)]
+    get_threads, set_threads = blas
+    if workers >= 2:
+        # imported here: at module level they would slow down `import tpslab`
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            chunks = min(trials, workers * _CHUNKS_PER_WORKER)
+            bounds = [(trials * k // chunks, trials * (k + 1) // chunks) for k in range(chunks)]
+            # fork hands trial_fn and cfg to the workers without pickling them
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(set_threads, trial_fn, cfg),
+            )
+            try:
+                return [row for chunk in pool.map(_run_chunk, bounds) for row in chunk]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        return [trial_fn(cfg, trial) for trial in range(trials)]
+    finally:
+        set_threads(threads)
+
+
+def _haar_structure(stream: RandomStream, s_a: Structure, trial: int) -> Structure:
+    """The trial's alternate split: a Haar unitary with ``s_a``'s factor dims."""
+    return structure_from_unitary(
+        stream.haar_unitary(s_a.total_dim), s_a.dim_s, s_a.dim_e, label=f"haar-{trial}"
+    )
+
+
+def _lemma_trial_inputs(cfg: ScenarioConfig, trial: int) -> tuple[str, np.ndarray, Structure, TypeIProjection]:
+    """``(state_kind, rho, s_b, spec_b)`` of one lemma trial: the state,
+    validated here once, and the alternate split with its maximally mixed
+    reference.  Both structure/spec pairs are checked."""
+    s_a = cfg.structure_a
+    stream = RandomStream(mix_seed(cfg.base_seed, trial))
     # Even trials: Haar pure; odd trials: rank-2 Ginibre mixed.
     if trial % 2 == 0:
-        v = stream.haar_pure(total)
-        return "pure", np.outer(v, v.conj())
-    return "mixed", stream.ginibre_density(total, min(2, total))
+        v = stream.haar_pure(s_a.total_dim)
+        kind, rho = "pure", np.outer(v, v.conj())
+    else:
+        kind, rho = "mixed", stream.ginibre_density(s_a.total_dim, min(2, s_a.total_dim))
+    s_b = _haar_structure(stream, s_a, trial)
+    spec_b = TypeIProjection(maximally_mixed(s_b.dim_e))
+    check_compatible(s_a, cfg.projection_a)
+    check_compatible(s_b, spec_b)
+    return kind, check_density_matrix(rho), s_b, spec_b
+
+
+def _lemma1_trial(cfg: ScenarioConfig, trial: int) -> list:
+    s_a, spec_a = cfg.structure_a, cfg.projection_a
+    kind, rho, s_b, spec_b = _lemma_trial_inputs(cfg, trial)
+    q_a = _complement(rho, s_a, spec_a)
+    rep_ab = _reduce_complement(q_a, s_b)
+    rep_ba = _reduce_complement(_complement(rho, s_b, spec_b), s_a)
+    rep_aa = _reduce_complement(q_a, s_a)
+    return [
+        trial,
+        kind,
+        rep_ab.trace_norm_defect,
+        rep_ba.trace_norm_defect,
+        rep_aa.trace_norm_defect,
+        max(rep_ab.trace_residual, rep_ba.trace_residual, rep_aa.trace_residual),
+    ]
 
 
 def _lemma1_sweep(cfg: ScenarioConfig):
-    s_a = cfg.structure_a
-    spec_a = cfg.projection_a
-    total = s_a.total_dim
     header = [
         "trial",
         "state_kind",
@@ -201,25 +352,7 @@ def _lemma1_sweep(cfg: ScenarioConfig):
         "defect_same_structure",
         "trace_residual_max",
     ]
-    rows = []
-    for trial in range(cfg.trials):
-        stream = RandomStream(mix_seed(cfg.base_seed, trial))
-        kind, rho = _draw_state(stream, total, trial)
-        s_b = structure_from_unitary(stream.haar_unitary(total), s_a.dim_s, s_a.dim_e, label=f"haar-{trial}")
-        spec_b = TypeIProjection(maximally_mixed(s_b.dim_e))
-        rep_ab = cross_relevance_matrix(rho, s_a, spec_a, s_b)
-        rep_ba = cross_relevance_matrix(rho, s_b, spec_b, s_a)
-        rep_aa = cross_relevance_matrix(rho, s_a, spec_a, s_a)
-        rows.append(
-            [
-                trial,
-                kind,
-                rep_ab.trace_norm_defect,
-                rep_ba.trace_norm_defect,
-                rep_aa.trace_norm_defect,
-                max(rep_ab.trace_residual, rep_ba.trace_residual, rep_aa.trace_residual),
-            ]
-        )
+    rows = _map_trials(_lemma1_trial, cfg)
     d_ab = [r[2] for r in rows]
     results = {
         "trials": cfg.trials,
@@ -236,20 +369,19 @@ def _lemma1_sweep(cfg: ScenarioConfig):
     return results, header, rows
 
 
+def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
+    s_a, spec_a = cfg.structure_a, cfg.projection_a
+    kind, rho, s_b, spec_b = _lemma_trial_inputs(cfg, trial)
+    p_a_rho = apply_projection(rho, s_a, spec_a)
+    p_b_rho = apply_projection(rho, s_b, spec_b)
+    defect = _commutator_defect(p_a_rho, p_b_rho, s_a, spec_a, s_b, spec_b)
+    control = _commutator_defect(p_a_rho, p_a_rho, s_a, spec_a, s_a, spec_a)
+    return [trial, kind, defect, control]
+
+
 def _lemma2_sweep(cfg: ScenarioConfig):
-    s_a = cfg.structure_a
-    spec_a = cfg.projection_a
-    total = s_a.total_dim
     header = ["trial", "state_kind", "commutator_defect", "same_spec_defect"]
-    rows = []
-    for trial in range(cfg.trials):
-        stream = RandomStream(mix_seed(cfg.base_seed, trial))
-        kind, rho = _draw_state(stream, total, trial)
-        s_b = structure_from_unitary(stream.haar_unitary(total), s_a.dim_s, s_a.dim_e, label=f"haar-{trial}")
-        spec_b = TypeIProjection(maximally_mixed(s_b.dim_e))
-        defect = commutator_defect(rho, s_a, spec_a, s_b, spec_b)
-        control = commutator_defect(rho, s_a, spec_a, s_a, spec_a)
-        rows.append([trial, kind, defect, control])
+    rows = _map_trials(_lemma2_trial, cfg)
     defects = [r[2] for r in rows]
     results = {
         "trials": cfg.trials,
@@ -264,18 +396,25 @@ def _lemma2_sweep(cfg: ScenarioConfig):
     return results, header, rows
 
 
-def _qcr_demo(cfg: ScenarioConfig):
+def _qcr_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a = cfg.structure_a
-    total = s_a.total_dim
+    stream = RandomStream(mix_seed(cfg.base_seed, trial))
+    rho_s = stream.ginibre_density(s_a.dim_s, s_a.dim_s)
+    rho_e = stream.ginibre_density(s_a.dim_e, s_a.dim_e)
+    rho = from_structure_basis(kron(rho_s, rho_e), s_a)
+    s_b = _haar_structure(stream, s_a, trial)
+    rho, spectrum = _checked_spectrum(rho)
+    entropy = _spectral_entropy(spectrum)
+    row: list = [trial]
+    for s in (s_a, s_b):
+        _, entropy_s, entropy_e = _split_entropies(to_structure_basis(rho, s), s)
+        row.append(entropy_s + entropy_e - entropy)
+    return row
+
+
+def _qcr_demo(cfg: ScenarioConfig):
     header = ["trial", "mi_own_structure", "mi_alternate_structure"]
-    rows = []
-    for trial in range(cfg.trials):
-        stream = RandomStream(mix_seed(cfg.base_seed, trial))
-        rho_s = stream.ginibre_density(s_a.dim_s, s_a.dim_s)
-        rho_e = stream.ginibre_density(s_a.dim_e, s_a.dim_e)
-        rho = from_structure_basis(kron(rho_s, rho_e), s_a)
-        s_b = structure_from_unitary(stream.haar_unitary(total), s_a.dim_s, s_a.dim_e, label=f"haar-{trial}")
-        rows.append([trial, mutual_information(rho, s_a), mutual_information(rho, s_b)])
+    rows = _map_trials(_qcr_trial, cfg)
     alt = [r[2] for r in rows]
     results = {
         "trials": cfg.trials,

@@ -40,3 +40,36 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, t1):
     assert error["error"] == "config"
     assert "non-finite" in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def sweep_config(tmp_path, layout) -> str:
+    config = tmp_path / "sweep.json"
+    cfg = {"version": 1, "scenario": "lemma1-sweep", "base_seed": 0, "output_dir": "out", "layout": layout, "trials": 2}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(config)
+
+
+@pytest.mark.parametrize("layout", [[100000, 100000], [2] * 13])
+def test_total_dimension_above_the_cap_is_a_config_error(tmp_path, capsys, layout):
+    assert main(["run", sweep_config(tmp_path, layout), "--output-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    assert "exceeds the cap of 4096" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_total_dimension_1024_is_admitted(tmp_path, capsys):
+    assert main(["validate", sweep_config(tmp_path, [2] * 10)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_unwritable_output_dir_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    config = sweep_config(tmp_path, [2, 2])
+    assert main(["run", config, "--output-dir", str(blocker / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "io"
