@@ -59,13 +59,8 @@ from .dynamics import (
     RandomStream,
     TimeGrid,
     TrajectoryPoint,
-    TrajectoryRecord,
     evolve,
     mix_seed,
-    random_density,
-    random_hamiltonian,
-    random_pure,
-    random_unitary,
     trajectory,
 )
 from .config import ConfigError, ScenarioConfig, load_config

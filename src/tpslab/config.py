@@ -5,6 +5,12 @@ keys are fatal everywhere -- there is no silent typo tolerance.  File paths
 inside a config resolve relative to the config file's directory; the output
 directory resolves relative to the working directory.
 
+The one accepted projection form is type I, ``{"kind": "type_i",
+"rho_ref": "maximally_mixed" | {"file": path}}``; the sweeps take only
+``"maximally_mixed"``.  Any other kind is rejected before its files are read.
+``load_config`` builds every input a scenario runs on, the
+``dynamics-trace`` initial density matrix included.
+
 A layout's total dimension is capped at ``MAX_TOTAL_DIM`` (4096, twelve
 qubits).  Scenarios hold dense ``complex128`` operators of that dimension,
 256 MiB each at the cap, so a larger layout is rejected as a config error
@@ -15,20 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Hamiltonian, TimeGrid
-from .linalg import maximally_mixed
-from .projections import (
-    ProjectionSpec,
-    TypeIIIProjection,
-    TypeIIProjection,
-    TypeIProjection,
-    computational_type_iii,
-)
+from .dynamics import Hamiltonian, RandomStream, TimeGrid
+from .linalg import PURE_NORM_TOL, maximally_mixed
+from .projections import TypeIProjection
+from .relativity import teleport_state
 from .structures import (
     FactorLayout,
     Structure,
@@ -69,6 +70,7 @@ _REQUIRED_KEYS = {
 }
 
 _MAXIMALLY_MIXED = "maximally_mixed"
+_DEFAULT_INPUT_QUBIT = (1.0, 0.0)  # |0>, the teleported qubit when none is given
 
 
 class ConfigError(ValueError):
@@ -87,10 +89,10 @@ class ScenarioConfig:
     layout: FactorLayout | None = None
     structure_a: Structure | None = None
     structure_b: Structure | None = None
-    projection_a: ProjectionSpec | None = None
-    projection_b: ProjectionSpec | None = None
+    projection_a: TypeIProjection | None = None
+    projection_b: TypeIProjection | None = None
     hamiltonian: Hamiltonian | None = None
-    initial_state: dict | None = None
+    initial_state: np.ndarray | None = None
     time_grid: TimeGrid | None = None
     input_qubit: np.ndarray | None = None
 
@@ -173,61 +175,28 @@ def _read_square_matrix(spec, name: str, base_dir: Path) -> np.ndarray:
     return m
 
 
-def _parse_projection(obj, name: str, s: Structure, base_dir: Path) -> ProjectionSpec:
-    obj = _require_object(obj, name, {"kind", "rho_ref", "bins", "projectors", "projector_files"})
+def _parse_projection(obj, name: str, s: Structure, base_dir: Path) -> TypeIProjection:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    if kind != "type_i":
+        raise ConfigError(
+            f"{name}: dynamics-trace requires kind 'type_i' (the commutator column"
+            f" is defined for that family only), got {kind!r}"
+        )
+    obj = _require_object(obj, name, {"kind", "rho_ref"})
+    ref = obj.get("rho_ref", _MAXIMALLY_MIXED)
+    if ref == _MAXIMALLY_MIXED:
+        return TypeIProjection(maximally_mixed(s.dim_e))
+    m = _read_square_matrix(ref, f"{name}.rho_ref", base_dir)
+    if m.shape[0] != s.dim_e:
+        raise ConfigError(
+            f"{name}.rho_ref: dim {m.shape[0]} does not match environment dim {s.dim_e}"
+        )
     try:
-        if kind == "type_i":
-            ref = obj.get("rho_ref", _MAXIMALLY_MIXED)
-            if ref == _MAXIMALLY_MIXED:
-                return TypeIProjection(maximally_mixed(s.dim_e))
-            m = _read_square_matrix(ref, f"{name}.rho_ref", base_dir)
-            if m.shape[0] != s.dim_e:
-                raise ConfigError(
-                    f"{name}.rho_ref: dim {m.shape[0]} does not match environment dim {s.dim_e}"
-                )
-            return TypeIProjection(m)
-        if kind == "type_ii":
-            bins_obj = obj.get("bins")
-            if not isinstance(bins_obj, list) or not bins_obj:
-                raise ConfigError(f"{name}.bins: must be a nonempty list")
-            bins = []
-            for i, entry in enumerate(bins_obj):
-                entry = _require_object(entry, f"{name}.bins[{i}]", {"projector_file", "rho_file"})
-                p = _read_square_matrix(
-                    {"file": entry.get("projector_file")}, f"{name}.bins[{i}].projector_file", base_dir
-                )
-                r = _read_square_matrix(
-                    {"file": entry.get("rho_file")}, f"{name}.bins[{i}].rho_file", base_dir
-                )
-                bins.append((p, r))
-            spec = TypeIIProjection(tuple(bins))
-            if spec.dim_s != s.dim_s or spec.dim_e != s.dim_e:
-                raise ConfigError(f"{name}: bin dims do not match the structure's split")
-            return spec
-        if kind == "type_iii":
-            if obj.get("projectors") == "computational":
-                return computational_type_iii(s.dim_e)
-            files = obj.get("projector_files")
-            if not isinstance(files, list) or not files:
-                raise ConfigError(
-                    f"{name}: give 'projectors': 'computational' or a 'projector_files' list"
-                )
-            projs = tuple(
-                _read_square_matrix({"file": f}, f"{name}.projector_files[{i}]", base_dir)
-                for i, f in enumerate(files)
-            )
-            spec = TypeIIIProjection(projs)
-            if spec.dim_e != s.dim_e:
-                raise ConfigError(
-                    f"{name}: projector dim {spec.dim_e} does not match environment dim {s.dim_e}"
-                )
-            return spec
-    except ConfigError:
-        raise
+        return TypeIProjection(m)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    raise ConfigError(f"{name}.kind: must be one of type_i, type_ii, type_iii, got {kind!r}")
 
 
 def _parse_hamiltonian(obj, name: str, total_dim: int, base_dir: Path) -> Hamiltonian:
@@ -236,9 +205,7 @@ def _parse_hamiltonian(obj, name: str, total_dim: int, base_dir: Path) -> Hamilt
         raise ConfigError(f"{name}: give exactly one of 'gue_seed' or 'file'")
     if "gue_seed" in obj:
         seed = _require_int(obj["gue_seed"], f"{name}.gue_seed", minimum=0, maximum=_MAX_SEED)
-        from .dynamics import random_hamiltonian
-
-        return random_hamiltonian(total_dim, seed)
+        return Hamiltonian(RandomStream(seed).gue(total_dim))
     m = _read_square_matrix({"file": obj["file"]}, f"{name}.file", base_dir)
     if m.shape[0] != total_dim:
         raise ConfigError(f"{name}: dim {m.shape[0]} does not match layout dim {total_dim}")
@@ -270,61 +237,55 @@ def _parse_qubit(obj, name: str) -> np.ndarray:
         amps.append(complex(_require_number(pair[0], f"{name}[{i}][0]"), _require_number(pair[1], f"{name}[{i}][1]")))
     vec = np.asarray(amps, dtype=np.complex128)
     norm2 = float(np.vdot(vec, vec).real)
-    if abs(norm2 - 1.0) > 1e-9:
-        raise ConfigError(f"{name}: not normalized (||u||^2 = {norm2:.12g})")
+    if abs(norm2 - 1.0) > PURE_NORM_TOL:
+        raise ConfigError(f"{name}: not normalized (||u||^2 = {norm2:.15g})")
     return vec
 
 
-def _parse_initial_state(obj, name: str, layout: FactorLayout) -> dict:
+def _parse_initial_state(obj, name: str, layout: FactorLayout) -> tuple[np.ndarray, dict]:
+    """The initial density matrix and its config echo."""
     obj = _require_object(obj, name, {"kind", "seed", "rank", "input_qubit"})
     kind = obj.get("kind")
     total = layout.total_dim
     if kind == "teleport":
         if layout.dims != (2, 2, 2):
             raise ConfigError(f"{name}: kind 'teleport' needs layout [2, 2, 2]")
-        out = {"kind": "teleport"}
+        echo: dict = {"kind": "teleport"}
+        u = np.array(_DEFAULT_INPUT_QUBIT, dtype=np.complex128)
         if "input_qubit" in obj:
-            out["input_qubit"] = _parse_qubit(obj["input_qubit"], f"{name}.input_qubit")
+            u = _parse_qubit(obj["input_qubit"], f"{name}.input_qubit")
+            echo["input_qubit"] = [[float(a.real), float(a.imag)] for a in u]
         for key in ("seed", "rank"):
             if key in obj:
                 raise ConfigError(f"{name}.{key}: not allowed for kind 'teleport'")
-        return out
+        psi = teleport_state(u)
+        return np.outer(psi, psi.conj()), echo
     if kind == "random_pure":
         if "seed" not in obj:
             raise ConfigError(f"{name}.seed: required for kind 'random_pure'")
         if "rank" in obj or "input_qubit" in obj:
             raise ConfigError(f"{name}: only 'seed' is allowed for kind 'random_pure'")
-        return {"kind": "random_pure", "seed": _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)}
+        seed = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
+        v = RandomStream(seed).haar_pure(total)
+        return np.outer(v, v.conj()), {"kind": "random_pure", "seed": seed}
     if kind == "random_density":
         if "seed" not in obj or "rank" not in obj:
             raise ConfigError(f"{name}: kind 'random_density' needs 'seed' and 'rank'")
         if "input_qubit" in obj:
             raise ConfigError(f"{name}.input_qubit: not allowed for kind 'random_density'")
-        return {
-            "kind": "random_density",
-            "seed": _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED),
-            "rank": _require_int(obj["rank"], f"{name}.rank", minimum=1, maximum=total),
-        }
+        seed = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
+        rank = _require_int(obj["rank"], f"{name}.rank", minimum=1, maximum=total)
+        rho = RandomStream(seed).ginibre_density(total, rank)
+        return rho, {"kind": "random_density", "seed": seed, "rank": rank}
     if kind == "maximally_mixed":
         for key in ("seed", "rank", "input_qubit"):
             if key in obj:
                 raise ConfigError(f"{name}.{key}: not allowed for kind 'maximally_mixed'")
-        return {"kind": "maximally_mixed"}
+        return maximally_mixed(total), {"kind": "maximally_mixed"}
     raise ConfigError(
         f"{name}.kind: must be one of teleport, random_pure, random_density,"
         f" maximally_mixed, got {kind!r}"
     )
-
-
-def _echo_initial_state(state: dict) -> dict:
-    out = {"kind": state["kind"]}
-    if "input_qubit" in state:
-        u = state["input_qubit"]
-        out["input_qubit"] = [[float(a.real), float(a.imag)] for a in u]
-    for key in ("seed", "rank"):
-        if key in state:
-            out[key] = state[key]
-    return out
 
 
 def _reject_non_finite(token: str):
@@ -355,6 +316,8 @@ def load_config(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float)
     except ValueError as exc:  # JSONDecodeError, or a non-finite number
@@ -411,6 +374,7 @@ def load_config(
                 raise ConfigError("layout: teleport-check is defined on [2, 2, 2]")
         cfg.layout = FactorLayout((2, 2, 2))
         echo["layout"] = [2, 2, 2]
+        cfg.input_qubit = np.array(_DEFAULT_INPUT_QUBIT, dtype=np.complex128)
         if "input_qubit" in raw:
             cfg.input_qubit = _parse_qubit(raw["input_qubit"], "input_qubit")
             echo["input_qubit"] = [[float(a.real), float(a.imag)] for a in cfg.input_qubit]
@@ -442,18 +406,13 @@ def load_config(
         proj_b_raw = raw.get("projection_b", {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED})
         cfg.projection_a = _parse_projection(proj_a_raw, "projection_a", cfg.structure_a, base_dir)
         cfg.projection_b = _parse_projection(proj_b_raw, "projection_b", cfg.structure_b, base_dir)
-        for name, spec in (("projection_a", cfg.projection_a), ("projection_b", cfg.projection_b)):
-            if not isinstance(spec, TypeIProjection):
-                raise ConfigError(
-                    f"{name}: dynamics-trace requires kind 'type_i' (the commutator column"
-                    " is defined for that family only)"
-                )
         echo["projection_a"] = proj_a_raw
         echo["projection_b"] = proj_b_raw
         cfg.hamiltonian = _parse_hamiltonian(raw["hamiltonian"], "hamiltonian", cfg.layout.total_dim, base_dir)
         echo["hamiltonian"] = raw["hamiltonian"]
-        cfg.initial_state = _parse_initial_state(raw["initial_state"], "initial_state", cfg.layout)
-        echo["initial_state"] = _echo_initial_state(cfg.initial_state)
+        cfg.initial_state, echo["initial_state"] = _parse_initial_state(
+            raw["initial_state"], "initial_state", cfg.layout
+        )
         cfg.time_grid = _parse_time_grid(raw["time_grid"], "time_grid")
         echo["time_grid"] = {"t0": cfg.time_grid.t0, "t1": cfg.time_grid.t1, "steps": cfg.time_grid.steps}
 

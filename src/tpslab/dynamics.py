@@ -1,5 +1,8 @@
 """Unitary dynamics, seeded random ensembles, and trajectory sweeps.
 
+:func:`trajectory` returns a tuple with one :class:`TrajectoryPoint` per grid
+time: the cross-split functionals that a ``dynamics-trace`` report writes.
+
 Randomness contract (recorded in every report as ``GENERATOR_NAME``):
 uniforms come from numpy's PCG64 bit generator seeded with a 64-bit integer;
 normals are produced from that stream by the Box-Muller transform.  Each
@@ -112,23 +115,6 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
 
-def random_hamiltonian(dim: int, seed: int) -> "Hamiltonian":
-    """GUE sample; no normalization applied, the scale is what it is."""
-    return Hamiltonian(RandomStream(seed).gue(dim))
-
-
-def random_pure(dim: int, seed: int) -> np.ndarray:
-    return RandomStream(seed).haar_pure(dim)
-
-
-def random_density(dim: int, rank: int, seed: int) -> np.ndarray:
-    return RandomStream(seed).ginibre_density(dim, rank)
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    return RandomStream(seed).haar_unitary(dim)
-
-
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Hermitian generator, optionally with local/interaction parts relative
@@ -206,8 +192,6 @@ def evolve(rho0, h: Hamiltonian, t: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class TrajectoryPoint:
     t: float
-    rho_s_eigenvalues: np.ndarray
-    rho_sprime_eigenvalues: np.ndarray
     lemma1_a_to_b: float
     lemma1_b_to_a: float
     lemma1_trace_residual_max: float
@@ -218,19 +202,6 @@ class TrajectoryPoint:
     purity_sprime: float
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """All cross-split functionals along one unitary evolution."""
-
-    points: tuple[TrajectoryPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-
 def trajectory(
     rho0,
     h: Hamiltonian,
@@ -239,12 +210,12 @@ def trajectory(
     spec_a: ProjectionSpec,
     s_b: Structure,
     spec_b: ProjectionSpec,
-) -> TrajectoryRecord:
+) -> tuple[TrajectoryPoint, ...]:
     """Evolve once and evaluate every cross-split functional on the same
-    state at each grid time.
+    state at each grid time; one point per grid time, in time order.
 
     Propagation uses a single eigendecomposition evaluated at absolute times,
-    so records are independent of grid refinement and the endpoint matches a
+    so the points are independent of grid refinement and the endpoint matches a
     one-shot evolve.  Both reduced trajectories come from the same total
     state; no projection feeds back into the dynamics.  The commutator
     defect is recorded as NaN unless both specs are type_i (its defined
@@ -284,8 +255,6 @@ def trajectory(
         points.append(
             TrajectoryPoint(
                 t=float(t),
-                rho_s_eigenvalues=np.linalg.eigvalsh(red_s),
-                rho_sprime_eigenvalues=np.linalg.eigvalsh(red_sp),
                 lemma1_a_to_b=rep_ab.trace_norm_defect,
                 lemma1_b_to_a=rep_ba.trace_norm_defect,
                 lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
@@ -296,7 +265,7 @@ def trajectory(
                 purity_sprime=purity(red_sp),
             )
         )
-    return TrajectoryRecord(points=tuple(points))
+    return tuple(points)
 
 
 def _split_data(

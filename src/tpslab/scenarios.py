@@ -55,7 +55,6 @@ from .relativity import (
     teleport_state,
 )
 from .structures import (
-    FactorLayout,
     Structure,
     from_structure_basis,
     reduced_state,
@@ -155,9 +154,8 @@ def _descending(values: np.ndarray) -> list[float]:
 
 
 def _teleport_check(cfg: ScenarioConfig):
-    layout = FactorLayout((2, 2, 2))
-    s_a = structure_from_grouping(layout, (0,), label="1|(2,3)")
-    s_b = structure_from_grouping(layout, (0, 1), label="(1,2)|3")
+    s_a = structure_from_grouping(cfg.layout, (0,), label="1|(2,3)")
+    s_b = structure_from_grouping(cfg.layout, (0, 1), label="(1,2)|3")
     phi = bell_pair()
     spec_a = TypeIProjection(np.outer(phi, phi.conj()))
     spec_b = TypeIProjection(maximally_mixed(2))
@@ -176,12 +174,7 @@ def _teleport_check(cfg: ScenarioConfig):
     ]
     rows = []
     for trial in range(cfg.trials):
-        if trial == 0 and cfg.input_qubit is not None:
-            u = cfg.input_qubit
-        elif trial == 0:
-            u = np.array([1.0, 0.0], dtype=np.complex128)
-        else:
-            u = RandomStream(mix_seed(cfg.base_seed, trial)).haar_pure(2)
+        u = cfg.input_qubit if trial == 0 else RandomStream(mix_seed(cfg.base_seed, trial)).haar_pure(2)
         psi = teleport_state(u)
         rho = np.outer(psi, psi.conj())
         p_rho = project(rho, s_a, spec_a)
@@ -428,27 +421,9 @@ def _qcr_demo(cfg: ScenarioConfig):
     return results, header, rows
 
 
-def _materialize_initial_state(cfg: ScenarioConfig) -> np.ndarray:
-    total = cfg.layout.total_dim
-    state = cfg.initial_state
-    if state["kind"] == "teleport":
-        u = state.get("input_qubit")
-        if u is None:
-            u = np.array([1.0, 0.0], dtype=np.complex128)
-        psi = teleport_state(u)
-        return np.outer(psi, psi.conj())
-    if state["kind"] == "random_pure":
-        v = RandomStream(state["seed"]).haar_pure(total)
-        return np.outer(v, v.conj())
-    if state["kind"] == "random_density":
-        return RandomStream(state["seed"]).ginibre_density(total, state["rank"])
-    return maximally_mixed(total)
-
-
 def _dynamics_trace(cfg: ScenarioConfig):
-    rho0 = _materialize_initial_state(cfg)
-    record = trajectory(
-        rho0,
+    points = trajectory(
+        cfg.initial_state,
         cfg.hamiltonian,
         cfg.time_grid,
         cfg.structure_a,
@@ -479,18 +454,18 @@ def _dynamics_trace(cfg: ScenarioConfig):
             p.purity_s,
             p.purity_sprime,
         ]
-        for p in record.points
+        for p in points
     ]
-    d_ab = [p.lemma1_a_to_b for p in record.points]
+    d_ab = [p.lemma1_a_to_b for p in points]
     results = {
-        "points": len(record),
+        "points": len(points),
         "threshold": DEFECT_THRESHOLD,
-        "fraction_lemma1_above_threshold": sum(d > DEFECT_THRESHOLD for d in d_ab) / len(record),
+        "fraction_lemma1_above_threshold": sum(d > DEFECT_THRESHOLD for d in d_ab) / len(points),
         "lemma1_a_to_b_max": max(d_ab),
         "lemma1_a_to_b_min": min(d_ab),
-        "trace_residual_max": max(p.lemma1_trace_residual_max for p in record.points),
-        "lemma2_max": max(p.lemma2_defect for p in record.points),
-        "final_purity_S": record.points[-1].purity_s,
-        "final_purity_Sprime": record.points[-1].purity_sprime,
+        "trace_residual_max": max(p.lemma1_trace_residual_max for p in points),
+        "lemma2_max": max(p.lemma2_defect for p in points),
+        "final_purity_S": points[-1].purity_s,
+        "final_purity_Sprime": points[-1].purity_sprime,
     }
     return results, header, rows

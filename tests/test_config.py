@@ -1,0 +1,143 @@
+"""Config contract through ``cli.main``: what is accepted, and how a rejected
+config fails (exit 1, one JSON line on stderr, nothing written)."""
+
+import json
+
+import numpy as np
+import pytest
+
+from tpslab import load_config, purity
+from tpslab.cli import main
+
+
+def dynamics_config(**overrides) -> dict:
+    cfg = {
+        "version": 1,
+        "scenario": "dynamics-trace",
+        "base_seed": 0,
+        "output_dir": "out",
+        "layout": [2, 2, 2],
+        "structure_a": {"grouping": [0]},
+        "structure_b": {"grouping": [0, 1]},
+        "hamiltonian": {"gue_seed": 3},
+        "initial_state": {"kind": "random_pure", "seed": 5},
+        "time_grid": {"t0": 0.0, "t1": 1.0, "steps": 2},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def write(tmp_path, cfg) -> str:
+    path = tmp_path / "config.json"
+    if isinstance(cfg, bytes):
+        path.write_bytes(cfg)
+    else:
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+def run(tmp_path, cfg) -> int:
+    return main(["run", write(tmp_path, cfg), "--output-dir", str(tmp_path / "out")])
+
+
+def config_error(tmp_path, capsys, cfg) -> str:
+    """Run a config that must be rejected; returns the error message."""
+    assert run(tmp_path, cfg) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    assert not (tmp_path / "out").exists()
+    return error["message"]
+
+
+NON_TYPE_I = [
+    {"kind": "type_ii", "bins": [{"projector_file": "missing_p.tpsw", "rho_file": "missing_rho.tpsw"}]},
+    {"kind": "type_iii", "projector_files": ["missing_0.tpsw", "missing_1.tpsw"]},
+    {"kind": "type_iii", "projectors": "computational"},
+    {"rho_ref": "maximally_mixed"},
+]
+
+
+@pytest.mark.parametrize("name", ["projection_a", "projection_b"])
+@pytest.mark.parametrize(
+    "projection", NON_TYPE_I, ids=["type_ii-bins", "type_iii-files", "type_iii-computational", "no-kind"]
+)
+def test_dynamics_trace_accepts_only_type_i_projections(tmp_path, capsys, name, projection):
+    message = config_error(tmp_path, capsys, dynamics_config(**{name: projection}))
+    assert message.startswith(f"{name}: ")
+    assert "'type_i'" in message
+    assert "no such file" not in message
+
+
+def test_type_i_projection_with_a_missing_rho_ref_file(tmp_path, capsys):
+    cfg = dynamics_config(projection_b={"kind": "type_i", "rho_ref": {"file": "missing.tpsw"}})
+    assert "projection_b.rho_ref.file: no such file" in config_error(tmp_path, capsys, cfg)
+
+
+INITIAL_STATES = {
+    "teleport": {"kind": "teleport", "input_qubit": [[0.6, 0.0], [0.0, 0.8]]},
+    "random_pure": {"kind": "random_pure", "seed": 5},
+    "random_density": {"kind": "random_density", "seed": 6, "rank": 3},
+    "maximally_mixed": {"kind": "maximally_mixed"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INITIAL_STATES))
+def test_each_initial_state_kind_runs(tmp_path, capsys, kind):
+    cfg = dynamics_config(initial_state=INITIAL_STATES[kind])
+    assert run(tmp_path, cfg) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "out" / "series.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 3  # header and one row per grid time
+
+    rho = load_config(tmp_path / "config.json").initial_state
+    assert rho.shape == (8, 8)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    w = np.linalg.eigvalsh(rho)
+    assert w.min() >= -1e-12
+    expected_rank = {"teleport": 1, "random_pure": 1, "random_density": 3, "maximally_mixed": 8}[kind]
+    assert int(np.sum(w > 1e-10)) == expected_rank
+    if kind == "maximally_mixed":
+        assert purity(rho) == pytest.approx(1 / 8, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "state, fragment",
+    [
+        ({"kind": "random_pure"}, "initial_state.seed: required for kind 'random_pure'"),
+        ({"kind": "random_density", "rank": 2}, "initial_state: kind 'random_density' needs 'seed' and 'rank'"),
+        ({"kind": "random_density", "seed": 1}, "initial_state: kind 'random_density' needs 'seed' and 'rank'"),
+        ({"kind": "random_density", "seed": 1, "rank": 9}, "initial_state.rank: must be <= 8, got 9"),
+        ({"kind": "random_density", "seed": 1, "rank": 0}, "initial_state.rank: must be >= 1, got 0"),
+    ],
+)
+def test_bad_seed_or_rank_is_a_config_error(tmp_path, capsys, state, fragment):
+    assert fragment in config_error(tmp_path, capsys, dynamics_config(initial_state=state))
+
+
+# ||u||^2 - 1 = 1.6e-10, above linalg.PURE_NORM_TOL: rejected by the config.
+SLIGHTLY_OFF_QUBIT = [[0.6, 0.0], [0.8000000001, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "cfg, name",
+    [
+        (
+            {"version": 1, "scenario": "teleport-check", "base_seed": 0, "output_dir": "out",
+             "input_qubit": SLIGHTLY_OFF_QUBIT},
+            "input_qubit",
+        ),
+        (dynamics_config(initial_state={"kind": "teleport", "input_qubit": SLIGHTLY_OFF_QUBIT}),
+         "initial_state.input_qubit"),
+    ],
+    ids=["teleport-check", "dynamics-trace"],
+)
+def test_unnormalized_input_qubit_is_a_config_error(tmp_path, capsys, cfg, name):
+    assert config_error(tmp_path, capsys, cfg).startswith(f"{name}: not normalized")
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    raw = b"\xff\xfe" + json.dumps(dynamics_config()).encode("utf-8")
+    assert "not UTF-8" in config_error(tmp_path, capsys, raw)

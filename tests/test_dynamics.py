@@ -17,19 +17,18 @@ from tpslab import (
     evolve,
     identity_structure,
     kron,
-    maximally_mixed,
     mix_seed,
     mutual_information,
     purity,
-    random_density,
-    random_hamiltonian,
-    random_pure,
-    random_unitary,
     reduced_state,
     structure_from_grouping,
     trajectory,
 )
 from conftest import haar_structure, max_mixed_spec, stream, teleport_setup
+
+
+def gue_hamiltonian(dim: int, seed: int) -> Hamiltonian:
+    return Hamiltonian(RandomStream(seed).gue(dim))
 
 
 class TestMixSeed:
@@ -54,27 +53,27 @@ class TestMixSeed:
 
 class TestRandomEnsembles:
     def test_same_seed_bit_identical(self):
-        assert np.array_equal(random_unitary(6, 33), random_unitary(6, 33))
-        assert np.array_equal(random_pure(5, 34), random_pure(5, 34))
-        assert np.array_equal(random_density(4, 2, 35), random_density(4, 2, 35))
-        assert np.array_equal(random_hamiltonian(4, 36).mat, random_hamiltonian(4, 36).mat)
+        assert np.array_equal(RandomStream(33).haar_unitary(6), RandomStream(33).haar_unitary(6))
+        assert np.array_equal(RandomStream(34).haar_pure(5), RandomStream(34).haar_pure(5))
+        assert np.array_equal(RandomStream(35).ginibre_density(4, 2), RandomStream(35).ginibre_density(4, 2))
+        assert np.array_equal(RandomStream(36).gue(4), RandomStream(36).gue(4))
 
     def test_gue_is_hermitian(self):
-        h = random_hamiltonian(6, 37)
-        assert np.abs(h.mat - h.mat.conj().T).max() == 0.0
+        h = RandomStream(37).gue(6)
+        assert np.abs(h - h.conj().T).max() == 0.0
 
     def test_rank_one_density_is_pure(self):
-        rho = random_density(4, 1, 38)
+        rho = RandomStream(38).ginibre_density(4, 1)
         assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-12
 
     def test_full_rank_density_is_valid(self):
-        rho = random_density(5, 5, 39)
+        rho = RandomStream(39).ginibre_density(5, 5)
         w = np.linalg.eigvalsh(rho)
         assert w[0] >= -1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
     def test_unitary_residual(self):
-        u = random_unitary(8, 40)
+        u = RandomStream(40).haar_unitary(8)
         assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-10
 
     def test_unitary_phase_convention(self):
@@ -84,7 +83,7 @@ class TestRandomEnsembles:
         q, r = np.linalg.qr(g)
         d = np.diagonal(r)
         expected = q * (d / np.abs(d))
-        np.testing.assert_array_equal(random_unitary(4, 41), expected)
+        np.testing.assert_array_equal(RandomStream(41).haar_unitary(4), expected)
 
     def test_haar_invariance_smoke(self):
         acc = 0.0
@@ -96,9 +95,9 @@ class TestRandomEnsembles:
 
     def test_invalid_dims_fatal(self):
         with pytest.raises(ValueError, match="dim must be"):
-            random_pure(1, 0)
+            RandomStream(0).haar_pure(1)
         with pytest.raises(ValueError, match="rank"):
-            random_density(4, 5, 0)
+            RandomStream(0).ginibre_density(4, 5)
 
 
 class TestHamiltonian:
@@ -128,11 +127,11 @@ class TestHamiltonian:
 class TestEvolve:
     def test_zero_time(self):
         rho = stream(144).ginibre_density(4, 4)
-        h = random_hamiltonian(4, 145)
+        h = gue_hamiltonian(4, 145)
         np.testing.assert_allclose(evolve(rho, h, 0.0), rho, atol=1e-14)
 
     def test_eigenprojector_is_stationary(self):
-        h = random_hamiltonian(4, 146)
+        h = gue_hamiltonian(4, 146)
         w, v = np.linalg.eigh(h.mat)
         rho = np.outer(v[:, 0], v[:, 0].conj())
         for t in (0.5, 2.0, 7.0):
@@ -140,7 +139,7 @@ class TestEvolve:
 
     def test_central_difference_matches_generator(self):
         # d rho/dt = -i [H, rho] checked by second-order differences
-        h = random_hamiltonian(4, 147)
+        h = gue_hamiltonian(4, 147)
         rho0 = stream(148).ginibre_density(4, 4)
         t, dt = 0.5, 1e-5
         lhs = (evolve(rho0, h, t + dt) - evolve(rho0, h, t - dt)) / (2 * dt)
@@ -149,7 +148,7 @@ class TestEvolve:
         assert np.linalg.norm(lhs - rhs) <= 1e-6
 
     def test_preserves_spectrum_trace_hermiticity(self):
-        h = random_hamiltonian(6, 149)
+        h = gue_hamiltonian(6, 149)
         rho0 = stream(150).ginibre_density(6, 3)
         rho_t = evolve(rho0, h, 3.7)
         np.testing.assert_allclose(
@@ -178,47 +177,42 @@ class TestTrajectory:
         rec = trajectory(
             rho0, h, TimeGrid(0.0, 4.0, 20), s, max_mixed_spec(2), s, max_mixed_spec(2)
         )
-        purities = [p.purity_s for p in rec.points]
+        purities = [p.purity_s for p in rec]
         assert max(purities) - min(purities) <= 1e-10
 
     def test_endpoint_matches_single_evolve(self):
         _, s_a, s_b, _, rho0 = teleport_setup()
-        h = random_hamiltonian(8, 155)
+        h = gue_hamiltonian(8, 155)
         grid = TimeGrid(0.0, 2.0, 8)
         rec = trajectory(rho0, h, grid, s_a, max_mixed_spec(4), s_b, max_mixed_spec(2))
         final = evolve(rho0, h, 2.0)
-        from tpslab import reduced_state
-
-        np.testing.assert_allclose(
-            rec.points[-1].rho_s_eigenvalues,
-            np.linalg.eigvalsh(reduced_state(final, s_a, "S")),
-            atol=1e-10,
-        )
+        assert rec[-1].purity_s == pytest.approx(purity(reduced_state(final, s_a, "S")), abs=1e-10)
+        assert rec[-1].mi_a == pytest.approx(mutual_information(final, s_a), abs=1e-10)
 
     def test_grid_contract(self):
         _, s_a, s_b, _, rho0 = teleport_setup()
-        h = random_hamiltonian(8, 156)
+        h = gue_hamiltonian(8, 156)
         rec = trajectory(
             rho0, h, TimeGrid(0.0, 1.0, 1), s_a, max_mixed_spec(4), s_b, max_mixed_spec(2)
         )
         assert len(rec) == 2
-        assert rec.points[0].t == 0.0
-        assert rec.points[-1].t == 1.0
+        assert rec[0].t == 0.0
+        assert rec[-1].t == 1.0
 
     def test_residuals_bounded_along_trajectory(self):
         _, s_a, s_b, _, rho0 = teleport_setup(stream(157).haar_pure(2))
-        h = random_hamiltonian(8, 158)
+        h = gue_hamiltonian(8, 158)
         rec = trajectory(
             rho0, h, TimeGrid(0.0, 3.0, 10), s_a, max_mixed_spec(4), s_b, max_mixed_spec(2)
         )
-        assert max(p.lemma1_trace_residual_max for p in rec.points) <= 1e-10
+        assert max(p.lemma1_trace_residual_max for p in rec) <= 1e-10
 
     def test_non_type_i_specs_yield_nan_commutator(self):
         from tpslab import computational_type_iii
 
         s = identity_structure(2, 2)
         rho0 = stream(159).ginibre_density(4, 4)
-        h = random_hamiltonian(4, 160)
+        h = gue_hamiltonian(4, 160)
         rec = trajectory(
             rho0,
             h,
@@ -228,7 +222,7 @@ class TestTrajectory:
             s,
             max_mixed_spec(2),
         )
-        assert all(math.isnan(p.lemma2_defect) for p in rec.points)
+        assert all(math.isnan(p.lemma2_defect) for p in rec)
 
 
 def public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b):
@@ -249,8 +243,6 @@ def public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b):
         points.append(
             TrajectoryPoint(
                 t=float(t),
-                rho_s_eigenvalues=np.linalg.eigvalsh(red_s),
-                rho_sprime_eigenvalues=np.linalg.eigvalsh(red_sp),
                 lemma1_a_to_b=rep_ab.trace_norm_defect,
                 lemma1_b_to_a=rep_ba.trace_norm_defect,
                 lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
@@ -299,9 +291,9 @@ class TestTrajectoryMatchesPublicRoute:
     def test_every_field_exactly_equal(self, setup):
         s_a, spec_a, s_b, spec_b = setup()
         rho0 = stream(161).ginibre_density(16, 3)
-        h = random_hamiltonian(16, 162)
+        h = gue_hamiltonian(16, 162)
         grid = TimeGrid(0.0, 2.0, 5)
-        got = trajectory(rho0, h, grid, s_a, spec_a, s_b, spec_b).points
+        got = trajectory(rho0, h, grid, s_a, spec_a, s_b, spec_b)
         want = public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b)
         assert len(got) == len(want)
         for p, q in zip(got, want):
