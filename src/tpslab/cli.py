@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid config, 2 invariant violation during a run,
 3 the operating system refused an operation of the run (writing the report,
-or starting worker processes).  Errors print a single JSON line on stderr.
+starting worker processes, or allocating memory).  Errors print a single
+JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ def main(argv=None) -> int:
         return _fail("invariant", str(exc), 2)
     except OSError as exc:
         return _fail("io", str(exc), 3)
+    except MemoryError as exc:
+        return _fail("memory", str(exc) or "out of memory", 3)
     print(f"summary: {paths.summary}")
     print(f"series: {paths.series}")
     return 0

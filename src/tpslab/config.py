@@ -215,16 +215,25 @@ def _parse_hamiltonian(obj, name: str, total_dim: int, base_dir: Path) -> Hamilt
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_time_grid(obj, name: str) -> TimeGrid:
+def _parse_time_grid(obj, name: str, h: Hamiltonian) -> TimeGrid:
+    """The grid, rejected when a phase ``w * t`` of the propagator could
+    overflow; the largest absolute row sum of H bounds every eigenvalue."""
     obj = _require_object(obj, name, {"t0", "t1", "steps"})
     for key in ("t0", "t1", "steps"):
         if key not in obj:
             raise ConfigError(f"{name}.{key}: missing")
     steps = _require_int(obj["steps"], f"{name}.steps", minimum=1)
     try:
-        return TimeGrid(_require_number(obj["t0"], f"{name}.t0"), _require_number(obj["t1"], f"{name}.t1"), steps)
+        grid = TimeGrid(_require_number(obj["t0"], f"{name}.t0"), _require_number(obj["t1"], f"{name}.t1"), steps)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    t_max = max(abs(grid.t0), abs(grid.t1))
+    h_bound = float(np.abs(h.mat).sum(axis=1).max())
+    if not math.isfinite(t_max * h_bound):
+        raise ConfigError(
+            f"{name}: propagator phases overflow (max |t| = {t_max:.3e}, ||H|| <= {h_bound:.3e})"
+        )
+    return grid
 
 
 def _parse_qubit(obj, name: str) -> np.ndarray:
@@ -413,7 +422,7 @@ def load_config(
         cfg.initial_state, echo["initial_state"] = _parse_initial_state(
             raw["initial_state"], "initial_state", cfg.layout
         )
-        cfg.time_grid = _parse_time_grid(raw["time_grid"], "time_grid")
+        cfg.time_grid = _parse_time_grid(raw["time_grid"], "time_grid", cfg.hamiltonian)
         echo["time_grid"] = {"t0": cfg.time_grid.t0, "t1": cfg.time_grid.t1, "steps": cfg.time_grid.steps}
 
     echo["output_dir"] = str(raw["output_dir"])

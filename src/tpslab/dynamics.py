@@ -125,7 +125,7 @@ class Hamiltonian:
     structure: Structure | None = None
 
     def __post_init__(self):
-        mat = require_hermitian(as_matrix(self.mat, "hamiltonian"), name="hamiltonian").copy()
+        mat = require_hermitian(self.mat, name="hamiltonian").copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if self.split is None:
@@ -151,12 +151,8 @@ class Hamiltonian:
     def from_split(cls, h_s, h_e, h_se, structure: Structure) -> "Hamiltonian":
         """Assemble local system/environment parts plus interaction, given in
         the structure's product basis."""
-        h_s = as_matrix(h_s, "h_s")
-        h_e = as_matrix(h_e, "h_e")
-        h_se = as_matrix(h_se, "h_se")
         recon = kron(h_s, np.eye(structure.dim_e)) + kron(np.eye(structure.dim_s), h_e) + h_se
-        mat = structure.w @ recon @ structure.w.conj().T
-        return cls(mat, split=(h_s, h_e, h_se), structure=structure)
+        return cls(from_structure_basis(recon, structure), split=(h_s, h_e, h_se), structure=structure)
 
 
 @dataclass(frozen=True)
@@ -175,6 +171,8 @@ class TimeGrid:
             raise ValueError(f"time grid needs steps >= 1, got {self.steps}")
         if not self.t1 > self.t0:
             raise ValueError(f"time grid needs t1 > t0, got [{self.t0}, {self.t1}]")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValueError(f"time grid span t1 - t0 overflows, got [{self.t0}, {self.t1}]")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)

@@ -21,10 +21,9 @@ import numpy as np
 
 from .linalg import (
     check_density_matrix,
-    hermiticity_defect,
     kron,
     partial_trace,
-    require_square,
+    require_hermitian,
     trace_norm,
 )
 from .structures import Structure, from_structure_basis, reduced_state, to_structure_basis
@@ -33,10 +32,7 @@ _ORTHO_TOL = 1e-10
 
 
 def _check_projector(p, name: str) -> np.ndarray:
-    p = require_square(p, name)
-    defect = hermiticity_defect(p)
-    if defect > _ORTHO_TOL:
-        raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e})")
+    p = require_hermitian(p, name=name)
     idem = float(np.abs(p @ p - p).max())
     if idem > _ORTHO_TOL:
         raise ValueError(f"{name}: not idempotent (defect {idem:.3e})")
@@ -191,7 +187,7 @@ def apply_projection(mat, s: Structure, spec: ProjectionSpec) -> np.ndarray:
     itself acts in the structure's own product basis.  No state validation:
     this is the raw superoperator, usable on complements and commutators.
     """
-    m = to_structure_basis(require_square(mat, "projection input"), s)
+    m = to_structure_basis(mat, s)
     return from_structure_basis(_project_in_basis(m, s, spec), s)
 
 

@@ -20,7 +20,6 @@ from .linalg import (
     InvariantViolation,
     _checked_spectrum,
     _spectral_entropy,
-    as_vector,
     check_density_matrix,
     check_pure_state,
     eigh,
@@ -358,7 +357,7 @@ def teleport_state(u) -> np.ndarray:
 
     Product across the 1 | (2,3) split, Schmidt rank 2 across (1,2) | 3.
     """
-    u = check_pure_state(as_vector(u, "u"), name="u")
+    u = check_pure_state(u, name="u")
     if u.size != 2:
         raise ValueError(f"teleport_state: input must be a qubit (dim 2), got dim {u.size}")
     return np.kron(u, bell_pair())

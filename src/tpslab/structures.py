@@ -1,31 +1,33 @@
 """Bipartite tensor-product structures of one composite Hilbert space.
 
-A structure is a system-environment split: the two factor dimensions plus a
-global unitary whose columns are the split's product basis expressed in the
-fixed reference basis.  Permutation unitaries regroup elementary factors;
-general unitaries realize arbitrary redefinitions of the degrees of freedom.
-State and operator coordinates live in the reference basis unless a function
-says otherwise.
+A structure is a system-environment split: two factor dimensions plus the
+split's product basis placed in the fixed reference basis.  Regrouping
+elementary factors permutes the reference basis, so a grouping (and the
+identity) is stored as an index map, and it changes the basis of an operator
+by an index gather, which equals the dense products bit for bit.  A general
+unitary realizes an arbitrary redefinition of the degrees of freedom; it is
+stored dense, and basis changes take two matrix products.  Each structure
+keeps exactly one of the two forms, chosen when it is built: a unitary input
+that is exactly a permutation matrix is stored as its index map.  State and
+operator coordinates live in the reference basis unless a function says
+otherwise.
 
-A structure whose unitary is exactly a permutation matrix (groupings, the
-identity, permutation matrix files) changes the basis of an operator by an
-index gather, which equals the dense product bit for bit; any other unitary
-takes the dense matrix products.  The unitary itself is always kept: it is
-the reference that transition matrices and expansion coefficients read.
+The dense unitary ``Structure.w`` of either form is what transition
+matrices and expansion coefficients read; for an index map it is built on
+each read.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import (
     UNITARITY_TOL,
-    as_matrix,
     as_vector,
     check_density_matrix,
     partial_trace,
@@ -33,10 +35,6 @@ from .linalg import (
 )
 
 MATRIX_FILE_MAGIC = b"TPSW1"
-
-
-def _unitarity_defect(w: np.ndarray) -> float:
-    return float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -65,65 +63,79 @@ class FactorLayout:
 class Structure:
     """One bipartition of the composite space.
 
-    ``w`` maps this structure's product basis to the reference basis: column
-    ``m * dim_e + n`` is the product vector ``|m>_S (x) |n>_E`` in reference
-    coordinates.  Unitarity of ``w`` is exactly the orthonormality constraint
-    on the change-of-structure coefficients.
+    ``basis`` places the structure's product basis in the reference basis;
+    product vector ``k = m * dim_e + n`` is ``|m>_S (x) |n>_E``.  It holds
+    one of two forms, chosen at construction:
 
-    When ``w`` is exactly a permutation matrix, ``perm`` holds ``(p, inv)``
-    with ``w[p[k], k] == 1`` and ``inv`` the inverse permutation; basis
-    changes then gather indices instead of multiplying by ``w``.  It is
-    ``None`` for every other unitary.
+    * an index map, a 1-D permutation of ``range(total_dim)``: product
+      vector ``k`` is reference basis vector ``basis[k]``.  Groupings and the
+      identity are built this way, and a unitary that is exactly a
+      permutation matrix is stored this way;
+    * a dense unitary, 2-D: column ``k`` is product vector ``k`` in
+      reference coordinates.  Unitarity is exactly the orthonormality
+      constraint on the change-of-structure coefficients.
+
+    :attr:`w` is the dense unitary of either form.
     """
 
-    total_dim: int
     dim_s: int
     dim_e: int
-    w: np.ndarray
+    basis: np.ndarray
     label: str = ""
-    perm: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        w = require_square(as_matrix(self.w, "structure unitary"), "structure unitary")
-        if self.dim_s < 1 or self.dim_e < 1 or self.dim_s * self.dim_e != self.total_dim:
-            raise ValueError(
-                f"structure dims {self.dim_s} x {self.dim_e} do not factor {self.total_dim}"
-            )
-        if w.shape[0] != self.total_dim:
-            raise ValueError(
-                f"structure unitary is {w.shape[0]}x{w.shape[1]}, expected {self.total_dim}"
-            )
-        defect = _unitarity_defect(w)
-        if defect > UNITARITY_TOL:
-            raise ValueError(
-                f"structure unitary is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
-            )
-        w = w.copy()
+        basis = np.asarray(self.basis)
+        if basis.ndim != 1:
+            basis = require_square(basis, "structure unitary")
+        dim = basis.shape[0]
+        if self.dim_s < 1 or self.dim_e < 1 or self.dim_s * self.dim_e != dim:
+            raise ValueError(f"structure dims {self.dim_s} x {self.dim_e} do not factor {dim}")
+        if basis.ndim == 2 and (index_map := _index_map_of(basis)) is not None:
+            basis = index_map
+        if basis.ndim == 2:
+            defect = float(np.linalg.norm(basis.conj().T @ basis - np.eye(dim)))
+            if defect > UNITARITY_TOL:
+                raise ValueError(
+                    f"structure unitary is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
+                )
+            basis = basis.copy()
+        elif np.issubdtype(basis.dtype, np.integer) and np.array_equal(np.sort(basis), np.arange(dim)):
+            basis = basis.astype(np.intp)
+        else:
+            raise ValueError(f"structure index map is not a permutation of range({dim})")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+
+    @property
+    def total_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense unitary; built on each read when ``basis`` is an index map."""
+        if self.basis.ndim == 2:
+            return self.basis
+        w = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
+        w[self.basis, np.arange(self.total_dim)] = 1.0
         w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "perm", _permutation_of(w))
+        return w
 
 
-def _permutation_of(w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(p, inv)`` when ``w`` has exactly one entry equal to 1 per column and
-    no other nonzero entry, else ``None``.  ``w`` is already known unitary,
-    so the rows ``p`` are distinct."""
+def _index_map_of(w: np.ndarray) -> np.ndarray | None:
+    """The index map ``p`` with ``w[p[k], k] == 1`` when ``w`` is exactly a
+    permutation matrix (one entry equal to 1 in each row and column, no
+    other nonzero entry), else ``None``."""
     if np.count_nonzero(w) != w.shape[0]:
         return None
     ones = w == 1
-    if not np.all(ones.sum(axis=0) == 1):
+    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
         return None
-    p = np.argmax(ones, axis=0)
-    inv = np.argsort(p)
-    p.setflags(write=False)
-    inv.setflags(write=False)
-    return p, inv
+    return np.argmax(ones, axis=0)
 
 
 def identity_structure(dim_s: int, dim_e: int, label: str = "reference") -> Structure:
-    """The reference split itself: identity unitary with the given factor dims."""
-    total = dim_s * dim_e
-    return Structure(total, dim_s, dim_e, np.eye(total, dtype=np.complex128), label)
+    """The reference split itself: the identity index map with the given factor dims."""
+    return Structure(dim_s, dim_e, np.arange(dim_s * dim_e), label)
 
 
 def structure_from_grouping(layout: FactorLayout, s_indices, label: str | None = None) -> Structure:
@@ -143,24 +155,17 @@ def structure_from_grouping(layout: FactorLayout, s_indices, label: str | None =
     rest = tuple(i for i in range(n) if i not in selected)
     order = selected + rest
     total = layout.total_dim
-    # ref_index[k] = reference basis index of the structure's k-th product vector
-    ref_index = np.arange(total).reshape(layout.dims).transpose(order).reshape(-1)
-    w = np.zeros((total, total), dtype=np.complex128)
-    w[ref_index, np.arange(total)] = 1.0
+    # index_map[k] = reference basis index of the structure's k-th product vector
+    index_map = np.arange(total).reshape(layout.dims).transpose(order).reshape(-1)
     dim_s = math.prod(layout.dims[i] for i in selected)
     if label is None:
         label = "S=" + ",".join(str(i) for i in selected)
-    return Structure(total, dim_s, total // dim_s, w, label)
+    return Structure(dim_s, total // dim_s, index_map, label)
 
 
 def structure_from_unitary(w, dim_s: int, dim_e: int, label: str = "") -> Structure:
     """Structure from an explicit global basis-change unitary."""
-    w = require_square(as_matrix(w, "structure unitary"), "structure unitary")
-    if dim_s * dim_e != w.shape[0]:
-        raise ValueError(
-            f"structure dims {dim_s} x {dim_e} do not factor the unitary dim {w.shape[0]}"
-        )
-    return Structure(w.shape[0], dim_s, dim_e, w, label)
+    return Structure(dim_s, dim_e, w, label)
 
 
 def _check_total_dim(m: np.ndarray, s: Structure, name: str) -> None:
@@ -172,20 +177,19 @@ def to_structure_basis(m, s: Structure) -> np.ndarray:
     """Express an operator in the structure's product basis: ``W^H m W``."""
     m = require_square(m, "to_structure_basis input")
     _check_total_dim(m, s, "to_structure_basis")
-    if s.perm is not None:
-        p = s.perm[0]
-        return m[np.ix_(p, p)]
-    return s.w.conj().T @ m @ s.w
+    if s.basis.ndim == 1:
+        return m[np.ix_(s.basis, s.basis)]
+    return s.basis.conj().T @ m @ s.basis
 
 
 def from_structure_basis(m, s: Structure) -> np.ndarray:
     """Inverse of :func:`to_structure_basis`: ``W m W^H``."""
     m = require_square(m, "from_structure_basis input")
     _check_total_dim(m, s, "from_structure_basis")
-    if s.perm is not None:
-        inv = s.perm[1]
+    if s.basis.ndim == 1:
+        inv = np.argsort(s.basis)
         return m[np.ix_(inv, inv)]
-    return s.w @ m @ s.w.conj().T
+    return s.basis @ m @ s.basis.conj().T
 
 
 def vector_to_structure_basis(psi, s: Structure) -> np.ndarray:
@@ -225,41 +229,23 @@ def transition_matrix(s_from: Structure, s_to: Structure) -> np.ndarray:
     return s_to.w.conj().T @ s_from.w
 
 
-def d_coefficient(
-    s: Structure,
-    i: int,
-    alpha: int,
-    m: int,
-    n: int,
-    ref_dim_s: int | None = None,
-    ref_dim_e: int | None = None,
-) -> complex:
+def d_coefficient(s: Structure, i: int, alpha: int, m: int, n: int) -> complex:
     """Expansion coefficient of the reference product vector ``|i, alpha>``
     in the structure's product basis vector ``|m, n>``.
 
-    The reference split defaults to the structure's own factor dimensions;
-    pass ``ref_dim_s`` / ``ref_dim_e`` when the reference register is split
-    differently.  Summing the coefficient against its conjugate over (m, n)
+    The reference register is split with the structure's own factor
+    dimensions.  Summing the coefficient against its conjugate over (m, n)
     reproduces Kronecker deltas in (i, alpha): that is unitarity of ``w``.
     """
-    if ref_dim_s is None:
-        ref_dim_s = s.dim_s
-    if ref_dim_e is None:
-        ref_dim_e = s.dim_e
-    if ref_dim_s * ref_dim_e != s.total_dim:
-        raise ValueError(
-            f"d_coefficient: reference split {ref_dim_s} x {ref_dim_e} does not factor"
-            f" {s.total_dim}"
-        )
     for value, bound, name in (
-        (i, ref_dim_s, "i"),
-        (alpha, ref_dim_e, "alpha"),
+        (i, s.dim_s, "i"),
+        (alpha, s.dim_e, "alpha"),
         (m, s.dim_s, "m"),
         (n, s.dim_e, "n"),
     ):
         if not 0 <= value < bound:
             raise ValueError(f"d_coefficient: index {name}={value} out of range [0, {bound})")
-    return complex(np.conj(s.w[i * ref_dim_e + alpha, m * s.dim_e + n]))
+    return complex(np.conj(s.w[i * s.dim_e + alpha, m * s.dim_e + n]))
 
 
 def write_matrix_file(path, m, split_dim: int = 0) -> None:
@@ -269,7 +255,7 @@ def write_matrix_file(path, m, split_dim: int = 0) -> None:
     system dimension for structure unitaries, 0 for plain matrices), then
     dim*dim entries as interleaved re/im float64, row-major, little-endian.
     """
-    m = require_square(as_matrix(m, "matrix file payload"), "matrix file payload")
+    m = require_square(m, "matrix file payload")
     dim = m.shape[0]
     data = np.empty(dim * dim * 2, dtype=np.float64)
     data[0::2] = m.real.reshape(-1)

@@ -73,3 +73,19 @@ def test_unwritable_output_dir_is_an_io_error(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "io"
+
+
+def test_out_of_memory_is_exit_3(tmp_path, capsys):
+    # 10**15 + 1 grid times in float64 need 7.1 PiB, more than any process
+    # address space holds, so the allocation is refused at once
+    config = tmp_path / "dyn.json"
+    config.write_text(
+        (DYNAMICS_CONFIG % "1.5").replace('"steps": 2', '"steps": 1000000000000000'), encoding="utf-8"
+    )
+    assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "memory"
+    assert "PiB" in error["message"]
+    assert not (tmp_path / "out").exists()

@@ -141,3 +141,15 @@ def test_unnormalized_input_qubit_is_a_config_error(tmp_path, capsys, cfg, name)
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     raw = b"\xff\xfe" + json.dumps(dynamics_config()).encode("utf-8")
     assert "not UTF-8" in config_error(tmp_path, capsys, raw)
+
+
+@pytest.mark.parametrize(
+    "grid, fragment",
+    [
+        ({"t0": 0.0, "t1": 1e308, "steps": 2}, "time_grid: propagator phases overflow"),
+        ({"t0": -1e308, "t1": 1e308, "steps": 2}, "time_grid: time grid span t1 - t0 overflows"),
+    ],
+    ids=["phase", "span"],
+)
+def test_overflowing_time_grid_is_a_config_error(tmp_path, capsys, grid, fragment):
+    assert fragment in config_error(tmp_path, capsys, dynamics_config(time_grid=grid))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpslab import (
+    FactorLayout,
     SeparableEnsemble,
     TypeIProjection,
     bell_pair,
@@ -18,6 +21,7 @@ from tpslab import (
     mutual_information,
     reduced_state,
     schmidt,
+    structure_from_grouping,
     teleport_state,
 )
 from conftest import bell_density, haar_structure, max_mixed_spec, stream, teleport_setup
@@ -200,6 +204,53 @@ class TestCommutatorDefect:
         rho = stream(120).ginibre_density(4, 4)
         with pytest.raises(ValueError, match="type_i"):
             commutator_defect(rho, s, computational_type_iii(2), s, max_mixed_spec(2))
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+LAYOUT_232 = FactorLayout((2, 3, 2))
+# every grouping of [2, 3, 2], and Haar structures with each proper split of d = 12
+STRUCTURES = st.one_of(
+    st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]).map(
+        lambda selected: structure_from_grouping(LAYOUT_232, selected)
+    ),
+    st.tuples(st.sampled_from([2, 3, 4, 6]), SEEDS).map(lambda a: haar_structure(12, a[0], a[1])),
+)
+# 200 drawn instances gave residuals of at most 9.3e-16
+PROPERTY_TOL = 1e-12
+
+
+def random_state_and_spec(s, seed, rank):
+    """A full-dimension state of the given rank and a random type_i reference
+    for the structure's environment."""
+    rho = stream(seed).ginibre_density(12, rank)
+    spec = TypeIProjection(stream(seed, 1).ginibre_density(s.dim_e, s.dim_e))
+    return rho, spec
+
+
+class TestLemmaProperties:
+    """Lemma 1 and Lemma 2 identities on hypothesis-drawn states, references
+    and structures (groupings and Haar)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=STRUCTURES, seed=SEEDS, rank=st.integers(min_value=1, max_value=12))
+    def test_equal_structures_have_zero_defects(self, s, seed, rank):
+        rho, spec = random_state_and_spec(s, seed, rank)
+        rep = cross_relevance_matrix(rho, s, spec, s)
+        assert rep.trace_norm_defect <= PROPERTY_TOL
+        assert rep.frobenius_defect <= PROPERTY_TOL
+        assert commutator_defect(rho, s, spec, s, spec) <= PROPERTY_TOL
+
+    @settings(max_examples=25, deadline=None)
+    @given(s_a=STRUCTURES, s_b=STRUCTURES, seed=SEEDS, rank=st.integers(min_value=1, max_value=12))
+    def test_any_pair_is_traceless_and_symmetric(self, s_a, s_b, seed, rank):
+        rho, spec_a = random_state_and_spec(s_a, seed, rank)
+        spec_b = TypeIProjection(stream(seed, 2).ginibre_density(s_b.dim_e, s_b.dim_e))
+        # cross_relevance_matrix raises above TRACE_RESIDUAL_TOL (1e-10) itself
+        for s_from, spec, s_to in ((s_a, spec_a, s_b), (s_b, spec_b, s_a)):
+            assert cross_relevance_matrix(rho, s_from, spec, s_to).trace_residual <= PROPERTY_TOL
+        d_ab = commutator_defect(rho, s_a, spec_a, s_b, spec_b)
+        d_ba = commutator_defect(rho, s_b, spec_b, s_a, spec_a)
+        assert abs(d_ab - d_ba) <= PROPERTY_TOL
 
 
 class TestMutualInformation:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tpslab import (
     FactorLayout,
+    Structure,
     d_coefficient,
     from_structure_basis,
     identity_structure,
@@ -47,6 +50,23 @@ class TestGrouping:
         s = structure_from_grouping(THREE_QUBITS, (2, 0))
         m = stream(20).complex_matrix(8, 8)
         np.testing.assert_allclose(from_structure_basis(to_structure_basis(m, s), s), m, atol=1e-12)
+
+    def test_ten_qubit_grouping_builds_no_dense_matrix(self):
+        # a dense 1024 x 1024 complex unitary alone would take 16 MiB
+        structure_from_grouping(TWO_QUBITS, (1,))
+        tracemalloc.start()
+        try:
+            s = structure_from_grouping(FactorLayout((2,) * 10), range(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert s.basis.shape == (1024,)
+
+    def test_index_map_must_be_a_permutation(self):
+        for basis in ([0, 0, 1, 2], [0, 1, 2, 4], [0.0, 1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                Structure(2, 2, np.array(basis))
 
     def test_rejects_empty_and_full_groupings(self):
         with pytest.raises(ValueError, match="proper subset"):
@@ -182,13 +202,13 @@ def _dense_pair(m, s):
 
 
 class TestPermutationGather:
-    """Permutation structures gather indices; the result must equal the dense
-    products with ``w`` bit for bit."""
+    """Permutation structures are stored as index maps and gather indices;
+    the result must equal the dense products with ``w`` bit for bit."""
 
     LAYOUT = FactorLayout((2, 3, 2))
 
     def assert_gather_matches_dense(self, s, seed):
-        assert s.perm is not None
+        assert s.basis.ndim == 1
         m = stream(seed).complex_matrix(s.total_dim, s.total_dim)
         to_dense, from_dense = _dense_pair(m, s)
         np.testing.assert_array_equal(to_structure_basis(m, s), to_dense)
@@ -206,12 +226,12 @@ class TestPermutationGather:
         path = tmp_path / "perm.tpsw"
         write_matrix_file(path, np.eye(12)[:, perm], split_dim=4)
         s = read_structure_file(path)
-        np.testing.assert_array_equal(s.perm[0], perm)
+        np.testing.assert_array_equal(s.basis, perm)
         self.assert_gather_matches_dense(s, 36)
 
     def test_haar_structure_takes_dense_path(self):
         s = haar_structure(12, 3, 37)
-        assert s.perm is None
+        assert s.basis.ndim == 2
         m = stream(38).complex_matrix(12, 12)
         to_dense, from_dense = _dense_pair(m, s)
         np.testing.assert_array_equal(to_structure_basis(m, s), to_dense)
@@ -220,7 +240,7 @@ class TestPermutationGather:
     def test_signed_permutation_takes_dense_path(self):
         w = np.eye(4, dtype=np.complex128)[:, [2, 0, 3, 1]]
         w[0, 1] = -1.0
-        assert structure_from_unitary(w, 2, 2).perm is None
+        assert structure_from_unitary(w, 2, 2).basis.ndim == 2
 
 
 class TestMatrixFiles:
