@@ -8,8 +8,13 @@ directory resolves relative to the working directory.
 The one accepted projection form is type I, ``{"kind": "type_i",
 "rho_ref": "maximally_mixed" | {"file": path}}``; the sweeps take only
 ``"maximally_mixed"``.  Any other kind is rejected before its files are read.
-``load_config`` builds every input a scenario runs on, the
-``dynamics-trace`` initial density matrix included.
+``load_config`` builds every input a scenario runs on.  The
+``dynamics-trace`` initial state is kept as its eigen-ensemble
+``(weights, vectors)``, the state being ``sum_k weights[k] |psi_k><psi_k|``
+for the columns ``psi_k`` of ``vectors``: one vector for ``teleport`` and
+``random_pure``, the ``rank`` left singular vectors of the Ginibre sample
+for ``random_density``, and the reference basis with weights 1/d for
+``maximally_mixed``.  No d x d density matrix is built.
 
 A layout's total dimension is capped at ``MAX_TOTAL_DIM`` (4096, twelve
 qubits).  Scenarios hold dense ``complex128`` operators of that dimension,
@@ -92,7 +97,7 @@ class ScenarioConfig:
     projection_a: TypeIProjection | None = None
     projection_b: TypeIProjection | None = None
     hamiltonian: Hamiltonian | None = None
-    initial_state: np.ndarray | None = None
+    initial_state: tuple[np.ndarray, np.ndarray] | None = None
     time_grid: TimeGrid | None = None
     input_qubit: np.ndarray | None = None
 
@@ -251,8 +256,15 @@ def _parse_qubit(obj, name: str) -> np.ndarray:
     return vec
 
 
-def _parse_initial_state(obj, name: str, layout: FactorLayout) -> tuple[np.ndarray, dict]:
-    """The initial density matrix and its config echo."""
+def _pure(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.ones(1), psi[:, None]
+
+
+def _parse_initial_state(
+    obj, name: str, layout: FactorLayout
+) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+    """The initial state as its eigen-ensemble ``(weights, vectors)``, and
+    its config echo."""
     obj = _require_object(obj, name, {"kind", "seed", "rank", "input_qubit"})
     kind = obj.get("kind")
     total = layout.total_dim
@@ -267,16 +279,14 @@ def _parse_initial_state(obj, name: str, layout: FactorLayout) -> tuple[np.ndarr
         for key in ("seed", "rank"):
             if key in obj:
                 raise ConfigError(f"{name}.{key}: not allowed for kind 'teleport'")
-        psi = teleport_state(u)
-        return np.outer(psi, psi.conj()), echo
+        return _pure(teleport_state(u)), echo
     if kind == "random_pure":
         if "seed" not in obj:
             raise ConfigError(f"{name}.seed: required for kind 'random_pure'")
         if "rank" in obj or "input_qubit" in obj:
             raise ConfigError(f"{name}: only 'seed' is allowed for kind 'random_pure'")
         seed = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
-        v = RandomStream(seed).haar_pure(total)
-        return np.outer(v, v.conj()), {"kind": "random_pure", "seed": seed}
+        return _pure(RandomStream(seed).haar_pure(total)), {"kind": "random_pure", "seed": seed}
     if kind == "random_density":
         if "seed" not in obj or "rank" not in obj:
             raise ConfigError(f"{name}: kind 'random_density' needs 'seed' and 'rank'")
@@ -284,13 +294,14 @@ def _parse_initial_state(obj, name: str, layout: FactorLayout) -> tuple[np.ndarr
             raise ConfigError(f"{name}.input_qubit: not allowed for kind 'random_density'")
         seed = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
         rank = _require_int(obj["rank"], f"{name}.rank", minimum=1, maximum=total)
-        rho = RandomStream(seed).ginibre_density(total, rank)
-        return rho, {"kind": "random_density", "seed": seed, "rank": rank}
+        ensemble = RandomStream(seed).ginibre_ensemble(total, rank)
+        return ensemble, {"kind": "random_density", "seed": seed, "rank": rank}
     if kind == "maximally_mixed":
         for key in ("seed", "rank", "input_qubit"):
             if key in obj:
                 raise ConfigError(f"{name}.{key}: not allowed for kind 'maximally_mixed'")
-        return maximally_mixed(total), {"kind": "maximally_mixed"}
+        ensemble = (np.full(total, 1.0 / total), np.eye(total, dtype=np.complex128))
+        return ensemble, {"kind": "maximally_mixed"}
     raise ConfigError(
         f"{name}.kind: must be one of teleport, random_pure, random_density,"
         f" maximally_mixed, got {kind!r}"

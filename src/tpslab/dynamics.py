@@ -21,18 +21,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    UNITARITY_TOL,
+    InvariantViolation,
     _checked_spectrum,
+    _orthonormality_defect,
+    _phases,
     _propagator_from_eigh,
     _spectral_entropy,
-    as_matrix,
     check_density_matrix,
+    check_ensemble,
     eigh,
-    kron,
     purity,
     require_hermitian,
 )
 from .projections import ProjectionSpec, TypeIProjection, _project_in_basis, check_compatible
-from .relativity import _commutator_defect, _reduce_complement, _split_entropies
+from .relativity import (
+    DefectReport,
+    _checked_report,
+    _commutator_defect,
+    _reduce_complement,
+    _split_entropies,
+)
 from .structures import Structure, from_structure_basis, to_structure_basis
 
 GENERATOR_NAME = "pcg64+splitmix64+box-muller:v1"
@@ -92,12 +101,23 @@ class RandomStream:
 
     def ginibre_density(self, dim: int, rank: int) -> np.ndarray:
         """G G^H / tr(G G^H) for a dim x rank complex Gaussian G."""
-        if not 1 <= rank <= dim:
-            raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-        g = self.complex_matrix(dim, rank)
+        g = self._ginibre(dim, rank)
         m = g @ g.conj().T
         m /= np.trace(m).real
         return (m + m.conj().T) / 2
+
+    def ginibre_ensemble(self, dim: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """The state :meth:`ginibre_density` draws, as its eigen-ensemble
+        ``(weights, vectors)``: with the thin SVD G = U diag(s) V^H, the
+        weights are s^2 / sum(s^2) and the vectors are the columns of U."""
+        u, sv, _ = np.linalg.svd(self._ginibre(dim, rank), full_matrices=False)
+        p = sv**2
+        return p / p.sum(), u
+
+    def _ginibre(self, dim: int, rank: int) -> np.ndarray:
+        if not 1 <= rank <= dim:
+            raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
+        return self.complex_matrix(dim, rank)
 
     def haar_unitary(self, dim: int) -> np.ndarray:
         """QR of a Ginibre sample with the R-diagonal phase fixed positive,
@@ -117,42 +137,18 @@ def _check_dim(dim: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian generator, optionally with local/interaction parts relative
-    to a named structure."""
+    """Hermitian generator of the unitary dynamics."""
 
     mat: np.ndarray
-    split: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    structure: Structure | None = None
 
     def __post_init__(self):
         mat = require_hermitian(self.mat, name="hamiltonian").copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        if self.split is None:
-            return
-        if self.structure is None:
-            raise ValueError("hamiltonian split requires its structure")
-        s = self.structure
-        h_s, h_e, h_se = (as_matrix(part, f"hamiltonian split part {i}") for i, part in enumerate(self.split))
-        if h_s.shape[0] != s.dim_s or h_e.shape[0] != s.dim_e or h_se.shape[0] != s.total_dim:
-            raise ValueError("hamiltonian split parts do not match the structure's dims")
-        recon = kron(h_s, np.eye(s.dim_e)) + kron(np.eye(s.dim_s), h_e) + h_se
-        delta = float(np.abs(to_structure_basis(mat, s) - recon).max())
-        scale = max(1.0, float(np.abs(mat).max()))
-        if delta > 1e-10 * scale:
-            raise ValueError(f"hamiltonian split does not reconstruct the total (defect {delta:.3e})")
-        object.__setattr__(self, "split", (h_s, h_e, h_se))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @classmethod
-    def from_split(cls, h_s, h_e, h_se, structure: Structure) -> "Hamiltonian":
-        """Assemble local system/environment parts plus interaction, given in
-        the structure's product basis."""
-        recon = kron(h_s, np.eye(structure.dim_e)) + kron(np.eye(structure.dim_s), h_e) + h_se
-        return cls(from_structure_basis(recon, structure), split=(h_s, h_e, h_se), structure=structure)
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class TrajectoryPoint:
 
 
 def trajectory(
-    rho0,
+    state,
     h: Hamiltonian,
     grid: TimeGrid,
     s_a: Structure,
@@ -212,29 +208,187 @@ def trajectory(
     """Evolve once and evaluate every cross-split functional on the same
     state at each grid time; one point per grid time, in time order.
 
-    Propagation uses a single eigendecomposition evaluated at absolute times,
-    so the points are independent of grid refinement and the endpoint matches a
+    ``state`` is the initial state as its eigen-ensemble ``(weights,
+    vectors)``: rho_0 = sum_k weights[k] |psi_k><psi_k|, with psi_k the k-th
+    column of ``vectors``.  The ensemble and both structure/spec pairs are
+    validated here, once; the ensemble needs positive weights summing to 1
+    and orthonormal vectors.  Propagation uses a single
+    eigendecomposition H = V diag(w) V^H evaluated at absolute times, so the
+    points are independent of grid refinement and the endpoint matches a
     one-shot evolve.  Both reduced trajectories come from the same total
     state; no projection feeds back into the dynamics.  The commutator
     defect is recorded as NaN unless both specs are type_i (its defined
     scope).
 
-    The inputs are validated here, once.  At each time the evolved state is
-    validated once and its spectrum gives S(rho_t); each structure changes
-    basis once and yields both reductions and the single projection, which
-    serves both the complement and the commutator.  The values equal those
-    of the public functions called one by one.
+    Two routes give the same values to roundoff:
+
+    * Two factor groupings of one layout with type_i specs (the pairs that
+      ``dynamics-trace`` configs build) never form a d x d state.  The
+      vectors evolve as psi_k(t) = V (exp(-i w t) * V^H psi_k), and every
+      column comes from their factor tensors; S(rho_t) is the entropy of the
+      weights, and the commutator defect is the state-independent closed
+      form of :class:`_GroupingPair`, computed once.  At each time the
+      evolved vectors must stay orthonormal, else :class:`InvariantViolation`;
+      each reduction is validated once, and its spectrum gives its entropy.
+    * Every other pair forms rho_0 once and conjugates it by exp(-i H t) at
+      each time.  The evolved state is validated once per time and its
+      spectrum gives S(rho_t); each structure changes basis once and yields
+      both reductions and the single projection, which serves both the
+      complement and the commutator.  The values equal those of the public
+      functions called one by one.
     """
-    rho0 = check_density_matrix(rho0)
-    if not (rho0.shape[0] == h.dim == s_a.total_dim == s_b.total_dim):
+    weights, vectors = check_ensemble(*state)
+    if not (vectors.shape[0] == h.dim == s_a.total_dim == s_b.total_dim):
         raise ValueError("trajectory: state, hamiltonian and structure dims do not match")
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
-    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
-
     w, v = eigh(h.mat, name="hamiltonian")
+    times = grid.times()
+    if (
+        isinstance(spec_a, TypeIProjection)
+        and isinstance(spec_b, TypeIProjection)
+        and s_a.grouping is not None
+        and s_b.grouping is not None
+        and s_a.grouping[0] == s_b.grouping[0]
+    ):
+        pair = _GroupingPair(s_a.grouping, spec_a.rho_ref, s_b.grouping, spec_b.rho_ref)
+        return _ensemble_points(weights, vectors, w, v, times, pair)
+    return _dense_points(_ensemble_density(weights, vectors), w, v, times, s_a, spec_a, s_b, spec_b)
+
+
+def _ensemble_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Psi diag(p) Psi^H: the density matrix of a validated ensemble."""
+    return (vectors * weights) @ vectors.conj().T
+
+
+class _GroupingPair:
+    """Closed forms for two groupings A = (S, E) and B = (S', E') of one
+    layout, with type_i references R_A on E and R_B on E'.
+
+    The factors split into a = S & S', b = S & E', c = E & S' and
+    e = E & E'.  A state enters as a tensor over (a, b, c, e), each group in
+    layout order, so S = (a, b), E = (c, e), S' = (a, c) and E' = (b, e).
+    Then P_A rho = rho_S (x) R_A, and the Lemma 1 defect of A against B is
+    Tr_E'(rho - rho_S (x) R_A) = rho_ac - rho_a (x) Tr_e R_A; B against A is
+    symmetric.  The Lemma 2 commutator is
+    P_A P_B rho - P_B P_A rho = rho_a (x) Delta with
+    Delta = Tr_e R_B (x) R_A - Tr_e R_A (x) R_B on (b, c, e), so its trace
+    norm is ||Delta||_1 for every state.
+    """
+
+    def __init__(self, grouping_a, ref_a, grouping_b, ref_b):
+        dims, sel_a = grouping_a
+        sel_b = grouping_b[1]
+        n = len(dims)
+        a, b, c, e = (
+            [i for i in range(n) if ((i in sel_a), (i in sel_b)) == key]
+            for key in ((True, True), (True, False), (False, True), (False, False))
+        )
+        self.layout = dims
+        self.order = a + b + c + e
+        self.dims = tuple(math.prod(dims[i] for i in group) for group in (a, b, c, e))
+        da, db, dc, de = self.dims
+        ref_a = _regroup(ref_a, dims, sorted(c + e), c, e)  # (c, e, c, e)
+        ref_b = _regroup(ref_b, dims, sorted(b + e), b, e)  # (b, e, b, e)
+        # the e-diagonal blocks of each reference, (c, c, e) and (b, b, e)
+        self.ref_a_blocks = np.einsum("ueve->uve", ref_a)
+        self.ref_b_blocks = np.einsum("xeye->xye", ref_b)
+        delta = np.einsum("xy,uevf->xueyvf", np.einsum("xeye->xy", ref_b), ref_a)
+        delta -= np.einsum("uv,xeyf->xueyvf", np.einsum("ueve->uv", ref_a), ref_b)
+        size = db * dc * de
+        self.lemma2 = _checked_report(delta.reshape(size, size), "commutator closed form").trace_norm_defect
+
+    def point(self, t: float, y: np.ndarray, entropy_total: float) -> TrajectoryPoint:
+        """The columns at time ``t`` from ``y``: the columns of the evolved
+        vectors, each scaled by the square root of its weight."""
+        da, db, dc, de = self.dims
+        r = y.shape[1]
+        y = y.T.reshape((r,) + self.layout).transpose([0] + [1 + i for i in self.order])
+        y = y.reshape(r, da, db, dc, de)
+        y_a = y.reshape(r, da * db, dc * de)
+        y_b = y.transpose(0, 1, 3, 2, 4).reshape(r, da * dc, db * de)
+        blocks_a, blocks_b = _diagonal_blocks(y_a), _diagonal_blocks(y_b)
+        red_s, red_sp = blocks_a.sum(axis=-1), blocks_b.sum(axis=-1)
+        rep_ab = _cross_defect(blocks_b, red_s, self.ref_a_blocks, da)
+        rep_ba = _cross_defect(blocks_a, red_sp, self.ref_b_blocks, da)
+        return TrajectoryPoint(
+            t=float(t),
+            lemma1_a_to_b=rep_ab.trace_norm_defect,
+            lemma1_b_to_a=rep_ba.trace_norm_defect,
+            lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
+            lemma2_defect=self.lemma2,
+            mi_a=_mutual_information(y_a, red_s, entropy_total),
+            mi_b=_mutual_information(y_b, red_sp, entropy_total),
+            purity_s=purity(red_s),
+            purity_sprime=purity(red_sp),
+        )
+
+
+def _regroup(m: np.ndarray, dims, factors: list[int], first: list[int], second: list[int]) -> np.ndarray:
+    """An operator on ``factors`` (in layout order) as a tensor with axes
+    (first, second, first, second), each group in layout order."""
+    pos = [factors.index(i) for i in first + second]
+    k = len(factors)
+    d1, d2 = math.prod(dims[i] for i in first), math.prod(dims[i] for i in second)
+    t = m.reshape([dims[i] for i in factors] * 2).transpose(pos + [k + i for i in pos])
+    return t.reshape(d1, d2, d1, d2)
+
+
+def _diagonal_blocks(y: np.ndarray) -> np.ndarray:
+    """The environment-diagonal blocks ``(dim_s, dim_s, dim_e)`` of the state
+    whose weighted vectors ``y`` are given as tensors ``(r, dim_s, dim_e)``.
+    Their sum over the last, contiguous axis (numpy sums it pairwise) is
+    the system reduction."""
+    z = y.transpose(2, 1, 0)
+    return np.ascontiguousarray((z @ z.conj().transpose(0, 2, 1)).transpose(1, 2, 0))
+
+
+def _mutual_information(y: np.ndarray, red_s: np.ndarray, entropy_total: float) -> float:
+    """S(rho_S) + S(rho_E) - S(rho) for the weighted vectors ``y`` of
+    :func:`_diagonal_blocks` and their system reduction.  S(rho_E) comes
+    from the smaller of rho_E and the Gram matrix of the (vector, system)
+    rows, which share their nonzero spectrum."""
+    r, dim_s, dim_e = y.shape
+    ye = y.transpose(2, 0, 1).reshape(dim_e, r * dim_s) if dim_e <= r * dim_s else y.reshape(r * dim_s, dim_e)
+    entropy_s = _spectral_entropy(_checked_spectrum(red_s, "reduced S state")[1])
+    entropy_e = _spectral_entropy(_checked_spectrum(ye @ ye.conj().T, "reduced E state")[1])
+    return entropy_s + entropy_e - entropy_total
+
+
+def _cross_defect(blocks_to: np.ndarray, red_from: np.ndarray, ref_blocks: np.ndarray, da: int) -> DefectReport:
+    """Lemma 1 defect Tr_E'(rho - rho_S (x) R) of one grouping against the
+    other.  ``blocks_to`` are the state's E'-diagonal blocks over the other
+    grouping's S' = (a, g), E' = (h, e); ``red_from`` is rho_S on (a, h),
+    and ``ref_blocks`` the e-diagonal blocks (g, g, e) of R.  Like the dense
+    route, the complement's E'-diagonal blocks are formed and subtracted
+    before they are summed."""
+    dh = red_from.shape[0] // da
+    red_blocks = np.einsum("xhyh->xyh", red_from.reshape(da, dh, da, dh))
+    complement = blocks_to - np.einsum("xyh,uve->xuyvhe", red_blocks, ref_blocks).reshape(blocks_to.shape)
+    return _checked_report(complement.sum(axis=-1), "cross_relevance_matrix")
+
+
+def _ensemble_points(weights, vectors, w, v, times, pair: _GroupingPair) -> tuple[TrajectoryPoint, ...]:
+    coeffs = v.conj().T @ vectors
+    entropy_total = _spectral_entropy(weights)
+    scale = np.sqrt(weights)
     points = []
-    for t in grid.times():
+    for t in times:
+        psi_t = v @ (_phases(w, t)[:, None] * coeffs)
+        defect = _orthonormality_defect(psi_t)
+        if defect > UNITARITY_TOL:
+            raise InvariantViolation(
+                f"trajectory: evolved vectors are not orthonormal at t={float(t):.6g}"
+                f" (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
+            )
+        points.append(pair.point(t, psi_t * scale, entropy_total))
+    return tuple(points)
+
+
+def _dense_points(rho0, w, v, times, s_a, spec_a, s_b, spec_b) -> tuple[TrajectoryPoint, ...]:
+    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
+    points = []
+    for t in times:
         # full-dimension temporaries are dropped as soon as they are used, so
         # at most a few d x d arrays are alive at once
         u = _propagator_from_eigh(w, v, t)

@@ -98,6 +98,32 @@ def check_pure_state(psi, name: str = "psi") -> np.ndarray:
     return psi
 
 
+def _orthonormality_defect(v: np.ndarray) -> float:
+    """Frobenius norm of ``V^H V - I`` for the columns of ``v``."""
+    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+
+
+def check_ensemble(weights, vectors, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """Validate a state given as its eigen-ensemble ``sum_k p_k |psi_k><psi_k|``:
+    positive weights ``p`` summing to 1, and orthonormal columns ``psi_k`` of
+    ``vectors``.  Returns the weights as float64 and the vectors as complex128."""
+    p = np.asarray(weights, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"{name}: weights must be a nonempty 1-D array")
+    if not np.all(np.isfinite(p)) or np.any(p <= 0):
+        raise ValueError(f"{name}: weights must be positive and finite")
+    total = float(p.sum())
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"{name}: weights sum to {total:.12g}, expected 1 within {TRACE_TOL:.0e}")
+    psi = as_matrix(vectors, f"{name} vectors")
+    if psi.shape[1] != p.size:
+        raise ValueError(f"{name}: {psi.shape[1]} vectors for {p.size} weights")
+    defect = _orthonormality_defect(psi)
+    if defect > UNITARITY_TOL:
+        raise ValueError(f"{name}: vectors are not orthonormal (defect {defect:.3e} > {UNITARITY_TOL:.0e})")
+    return p, psi
+
+
 def maximally_mixed(dim: int) -> np.ndarray:
     """Identity over dimension: the state with no information at all."""
     if dim < 1:
@@ -141,9 +167,14 @@ def eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _phases(w: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i w t) for the eigenvalues ``w`` of :func:`eigh`."""
+    return np.exp(-1j * w * float(t))
+
+
 def _propagator_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) from the eigendata ``(w, v)`` of :func:`eigh`."""
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    return (v * _phases(w, t)) @ v.conj().T
 
 
 def propagator(h, t: float) -> np.ndarray:

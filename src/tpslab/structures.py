@@ -8,13 +8,14 @@ by an index gather, which equals the dense products bit for bit.  A general
 unitary realizes an arbitrary redefinition of the degrees of freedom; it is
 stored dense, and basis changes take two matrix products.  Each structure
 keeps exactly one of the two forms, chosen when it is built: a unitary input
-that is exactly a permutation matrix is stored as its index map.  State and
-operator coordinates live in the reference basis unless a function says
-otherwise.
+that is exactly a permutation matrix is stored as its index map.  A grouping
+also records which factors it groups, so that callers can work on the
+factor tensors of a state directly.  State and operator coordinates live in
+the reference basis unless a function says otherwise.
 
-The dense unitary ``Structure.w`` of either form is what transition
-matrices and expansion coefficients read; for an index map it is built on
-each read.
+Vectors, transition matrices and expansion coefficients gather from an
+index map as well; the dense unitary ``Structure.w`` of either form is
+built on each read for an index map.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 
 from .linalg import (
     UNITARITY_TOL,
+    _orthonormality_defect,
+    as_matrix,
     as_vector,
     check_density_matrix,
     partial_trace,
@@ -75,13 +78,17 @@ class Structure:
       reference coordinates.  Unitarity is exactly the orthonormality
       constraint on the change-of-structure coefficients.
 
-    :attr:`w` is the dense unitary of either form.
+    ``grouping`` is ``(layout dims, system factor positions)`` when the
+    structure groups elementary factors, as :func:`structure_from_grouping`
+    builds it, and ``None`` otherwise; the index map must be the one that
+    grouping defines.  :attr:`w` is the dense unitary of either form.
     """
 
     dim_s: int
     dim_e: int
     basis: np.ndarray
     label: str = ""
+    grouping: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         basis = np.asarray(self.basis)
@@ -93,7 +100,7 @@ class Structure:
         if basis.ndim == 2 and (index_map := _index_map_of(basis)) is not None:
             basis = index_map
         if basis.ndim == 2:
-            defect = float(np.linalg.norm(basis.conj().T @ basis - np.eye(dim)))
+            defect = _orthonormality_defect(basis)
             if defect > UNITARITY_TOL:
                 raise ValueError(
                     f"structure unitary is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
@@ -103,6 +110,14 @@ class Structure:
             basis = basis.astype(np.intp)
         else:
             raise ValueError(f"structure index map is not a permutation of range({dim})")
+        if self.grouping is not None:
+            dims, selected = self.grouping
+            if (
+                basis.ndim != 1
+                or math.prod(dims[i] for i in selected) != self.dim_s
+                or not np.array_equal(basis, _grouping_index_map(dims, selected))
+            ):
+                raise ValueError(f"structure grouping {self.grouping} does not define this structure")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
@@ -152,15 +167,19 @@ def structure_from_grouping(layout: FactorLayout, s_indices, label: str | None =
         raise ValueError(f"grouping: factor indices {selected} out of range for {n} factors")
     if not selected or len(selected) == n:
         raise ValueError("grouping: system factors must be a nonempty proper subset")
-    rest = tuple(i for i in range(n) if i not in selected)
-    order = selected + rest
     total = layout.total_dim
-    # index_map[k] = reference basis index of the structure's k-th product vector
-    index_map = np.arange(total).reshape(layout.dims).transpose(order).reshape(-1)
     dim_s = math.prod(layout.dims[i] for i in selected)
     if label is None:
         label = "S=" + ",".join(str(i) for i in selected)
-    return Structure(dim_s, total // dim_s, index_map, label)
+    index_map = _grouping_index_map(layout.dims, selected)
+    return Structure(dim_s, total // dim_s, index_map, label, grouping=(layout.dims, selected))
+
+
+def _grouping_index_map(dims: tuple[int, ...], selected: tuple[int, ...]) -> np.ndarray:
+    """``index_map[k]``: the reference basis index of product vector ``k`` of
+    the grouping whose system is the (sorted) factors ``selected``."""
+    order = selected + tuple(i for i in range(len(dims)) if i not in selected)
+    return np.arange(math.prod(dims)).reshape(dims).transpose(order).reshape(-1)
 
 
 def structure_from_unitary(w, dim_s: int, dim_e: int, label: str = "") -> Structure:
@@ -193,12 +212,17 @@ def from_structure_basis(m, s: Structure) -> np.ndarray:
 
 
 def vector_to_structure_basis(psi, s: Structure) -> np.ndarray:
-    psi = as_vector(psi, "vector_to_structure_basis input")
-    if psi.size != s.total_dim:
+    """A vector ``(d,)``, or the columns of a ``(d, r)`` array, in the
+    structure's product basis: ``W^H psi``."""
+    name = "vector_to_structure_basis input"
+    psi = as_vector(psi, name) if np.ndim(psi) == 1 else as_matrix(psi, name)
+    if psi.shape[0] != s.total_dim:
         raise ValueError(
-            f"vector_to_structure_basis: dim {psi.size} does not match structure dim {s.total_dim}"
+            f"vector_to_structure_basis: dim {psi.shape[0]} does not match structure dim {s.total_dim}"
         )
-    return s.w.conj().T @ psi
+    if s.basis.ndim == 1:
+        return psi[s.basis]
+    return s.basis.conj().T @ psi
 
 
 def _reduce(m: np.ndarray, s: Structure, which: str) -> np.ndarray:
@@ -226,7 +250,12 @@ def transition_matrix(s_from: Structure, s_to: Structure) -> np.ndarray:
         raise ValueError(
             f"transition_matrix: structure dims differ ({s_from.total_dim} vs {s_to.total_dim})"
         )
-    return s_to.w.conj().T @ s_from.w
+    if s_from.basis.ndim == 1 and s_to.basis.ndim == 1:
+        # entry [j, k] is 1 where both maps send j and k to the same reference vector
+        t = np.zeros((s_to.total_dim, s_to.total_dim), dtype=np.complex128)
+        t[np.argsort(s_to.basis)[s_from.basis], np.arange(s_from.total_dim)] = 1.0
+        return t
+    return vector_to_structure_basis(s_from.w, s_to)
 
 
 def d_coefficient(s: Structure, i: int, alpha: int, m: int, n: int) -> complex:
@@ -245,7 +274,9 @@ def d_coefficient(s: Structure, i: int, alpha: int, m: int, n: int) -> complex:
     ):
         if not 0 <= value < bound:
             raise ValueError(f"d_coefficient: index {name}={value} out of range [0, {bound})")
-    return complex(np.conj(s.w[i * s.dim_e + alpha, m * s.dim_e + n]))
+    row, col = i * s.dim_e + alpha, m * s.dim_e + n
+    entry = complex(s.basis[col] == row) if s.basis.ndim == 1 else s.basis[row, col]
+    return complex(np.conj(entry))
 
 
 def write_matrix_file(path, m, split_dim: int = 0) -> None:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tpslab import load_config, purity
+from tpslab import load_config
 from tpslab.cli import main
 
 
@@ -92,15 +92,15 @@ def test_each_initial_state_kind_runs(tmp_path, capsys, kind):
     lines = (tmp_path / "out" / "series.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 3  # header and one row per grid time
 
-    rho = load_config(tmp_path / "config.json").initial_state
-    assert rho.shape == (8, 8)
-    assert abs(np.trace(rho) - 1.0) <= 1e-12
-    w = np.linalg.eigvalsh(rho)
-    assert w.min() >= -1e-12
+    weights, vectors = load_config(tmp_path / "config.json").initial_state
     expected_rank = {"teleport": 1, "random_pure": 1, "random_density": 3, "maximally_mixed": 8}[kind]
-    assert int(np.sum(w > 1e-10)) == expected_rank
+    assert weights.shape == (expected_rank,)
+    assert vectors.shape == (8, expected_rank)
+    assert weights.min() > 0
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(expected_rank), atol=1e-12)
     if kind == "maximally_mixed":
-        assert purity(rho) == pytest.approx(1 / 8, abs=1e-15)
+        np.testing.assert_array_equal(weights, np.full(8, 1 / 8))
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpslab import (
     FactorLayout,
     Hamiltonian,
+    InvariantViolation,
     RandomStream,
     TimeGrid,
     TrajectoryPoint,
@@ -14,7 +18,9 @@ from tpslab import (
     commutator_defect,
     computational_type_iii,
     cross_relevance_matrix,
+    dynamics,
     evolve,
+    from_structure_basis,
     identity_structure,
     kron,
     mix_seed,
@@ -25,6 +31,8 @@ from tpslab import (
     trajectory,
 )
 from conftest import haar_structure, max_mixed_spec, stream, teleport_setup
+
+ensemble_density = dynamics._ensemble_density
 
 
 def gue_hamiltonian(dim: int, seed: int) -> Hamiltonian:
@@ -72,6 +80,13 @@ class TestRandomEnsembles:
         assert w[0] >= -1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
+    def test_ginibre_ensemble_is_the_ginibre_density(self):
+        weights, vectors = RandomStream(42).ginibre_ensemble(6, 3)
+        assert weights.shape == (3,) and vectors.shape == (6, 3)
+        np.testing.assert_allclose(
+            ensemble_density(weights, vectors), RandomStream(42).ginibre_density(6, 3), atol=1e-15
+        )
+
     def test_unitary_residual(self):
         u = RandomStream(40).haar_unitary(8)
         assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-10
@@ -104,24 +119,6 @@ class TestHamiltonian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_from_split_reconstructs(self):
-        s = identity_structure(2, 2)
-        h_s = stream(140).gue(2)
-        h_e = stream(141).gue(2)
-        h_se = stream(142).gue(4)
-        h = Hamiltonian.from_split(h_s, h_e, h_se, s)
-        expected = kron(h_s, np.eye(2)) + kron(np.eye(2), h_e) + h_se
-        np.testing.assert_allclose(h.mat, expected, atol=1e-14)
-
-    def test_inconsistent_split_rejected(self):
-        s = identity_structure(2, 2)
-        with pytest.raises(ValueError, match="does not reconstruct"):
-            Hamiltonian(
-                np.zeros((4, 4)),
-                split=(stream(143).gue(2), np.zeros((2, 2)), np.zeros((4, 4))),
-                structure=s,
-            )
 
 
 class TestEvolve:
@@ -169,52 +166,56 @@ class TestTimeGrid:
             TimeGrid(1.0, 1.0, 5)
 
 
+def pure(psi):
+    return np.ones(1), psi[:, None]
+
+
 class TestTrajectory:
     def test_non_interacting_split_keeps_purity(self):
         s = identity_structure(2, 2)
-        h = Hamiltonian.from_split(stream(151).gue(2), stream(152).gue(2), np.zeros((4, 4)), s)
-        rho0 = kron(stream(153).ginibre_density(2, 1), stream(154).ginibre_density(2, 2))
+        h_s, h_e = stream(151).gue(2), stream(152).gue(2)
+        h = Hamiltonian(from_structure_basis(kron(h_s, np.eye(2)) + kron(np.eye(2), h_e), s))
+        (p_s, v_s), (p_e, v_e) = stream(153).ginibre_ensemble(2, 1), stream(154).ginibre_ensemble(2, 2)
+        state = (np.kron(p_s, p_e), np.kron(v_s, v_e))
         rec = trajectory(
-            rho0, h, TimeGrid(0.0, 4.0, 20), s, max_mixed_spec(2), s, max_mixed_spec(2)
+            state, h, TimeGrid(0.0, 4.0, 20), s, max_mixed_spec(2), s, max_mixed_spec(2)
         )
         purities = [p.purity_s for p in rec]
         assert max(purities) - min(purities) <= 1e-10
 
     def test_endpoint_matches_single_evolve(self):
-        _, s_a, s_b, _, rho0 = teleport_setup()
+        _, s_a, s_b, psi, rho0 = teleport_setup()
         h = gue_hamiltonian(8, 155)
         grid = TimeGrid(0.0, 2.0, 8)
-        rec = trajectory(rho0, h, grid, s_a, max_mixed_spec(4), s_b, max_mixed_spec(2))
+        rec = trajectory(pure(psi), h, grid, s_a, max_mixed_spec(4), s_b, max_mixed_spec(2))
         final = evolve(rho0, h, 2.0)
         assert rec[-1].purity_s == pytest.approx(purity(reduced_state(final, s_a, "S")), abs=1e-10)
         assert rec[-1].mi_a == pytest.approx(mutual_information(final, s_a), abs=1e-10)
 
     def test_grid_contract(self):
-        _, s_a, s_b, _, rho0 = teleport_setup()
+        _, s_a, s_b, psi, _ = teleport_setup()
         h = gue_hamiltonian(8, 156)
         rec = trajectory(
-            rho0, h, TimeGrid(0.0, 1.0, 1), s_a, max_mixed_spec(4), s_b, max_mixed_spec(2)
+            pure(psi), h, TimeGrid(0.0, 1.0, 1), s_a, max_mixed_spec(4), s_b, max_mixed_spec(2)
         )
         assert len(rec) == 2
         assert rec[0].t == 0.0
         assert rec[-1].t == 1.0
 
     def test_residuals_bounded_along_trajectory(self):
-        _, s_a, s_b, _, rho0 = teleport_setup(stream(157).haar_pure(2))
+        _, s_a, s_b, psi, _ = teleport_setup(stream(157).haar_pure(2))
         h = gue_hamiltonian(8, 158)
         rec = trajectory(
-            rho0, h, TimeGrid(0.0, 3.0, 10), s_a, max_mixed_spec(4), s_b, max_mixed_spec(2)
+            pure(psi), h, TimeGrid(0.0, 3.0, 10), s_a, max_mixed_spec(4), s_b, max_mixed_spec(2)
         )
         assert max(p.lemma1_trace_residual_max for p in rec) <= 1e-10
 
     def test_non_type_i_specs_yield_nan_commutator(self):
-        from tpslab import computational_type_iii
-
         s = identity_structure(2, 2)
-        rho0 = stream(159).ginibre_density(4, 4)
+        state = stream(159).ginibre_ensemble(4, 4)
         h = gue_hamiltonian(4, 160)
         rec = trajectory(
-            rho0,
+            state,
             h,
             TimeGrid(0.0, 1.0, 2),
             s,
@@ -286,16 +287,100 @@ def _grouping_and_haar():
     )
 
 
+def assert_points_close(got, want, tol):
+    """Every field equal within ``tol * max(1, |want|)``, the golden reports'
+    tolerance; ``tol == 0`` asks for bit equality."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        for f in dataclasses.fields(TrajectoryPoint):
+            if tol == 0:
+                np.testing.assert_array_equal(getattr(p, f.name), getattr(q, f.name), err_msg=f.name)
+            else:
+                np.testing.assert_allclose(getattr(p, f.name), getattr(q, f.name), rtol=tol, atol=tol, err_msg=f.name)
+
+
 class TestTrajectoryMatchesPublicRoute:
+    """The dense route reproduces the public functions bit for bit; the
+    grouping-pair route (nested groupings) agrees to the goldens' 1e-12."""
+
     @pytest.mark.parametrize("setup", [_nested_groupings, _non_nested_with_type_iii, _grouping_and_haar])
     def test_every_field_exactly_equal(self, setup):
         s_a, spec_a, s_b, spec_b = setup()
-        rho0 = stream(161).ginibre_density(16, 3)
+        state = stream(161).ginibre_ensemble(16, 3)
         h = gue_hamiltonian(16, 162)
         grid = TimeGrid(0.0, 2.0, 5)
-        got = trajectory(rho0, h, grid, s_a, spec_a, s_b, spec_b)
-        want = public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b)
-        assert len(got) == len(want)
-        for p, q in zip(got, want):
-            for f in dataclasses.fields(TrajectoryPoint):
-                np.testing.assert_array_equal(getattr(p, f.name), getattr(q, f.name), err_msg=f.name)
+        got = trajectory(state, h, grid, s_a, spec_a, s_b, spec_b)
+        want = public_route_points(ensemble_density(*state), h, grid, s_a, spec_a, s_b, spec_b)
+        assert_points_close(got, want, 1e-12 if setup is _nested_groupings else 0)
+
+
+LAYOUT_2322 = FactorLayout((2, 3, 2, 2))
+GROUPINGS_2322 = [g for k in (1, 2, 3) for g in itertools.combinations(range(4), k)]
+
+
+class TestGroupingPairClosedForm:
+    """The grouping-pair route against the dense public route, on every
+    ordered pair of groupings of [2, 3, 2, 2]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        selected=st.tuples(st.sampled_from(GROUPINGS_2322), st.sampled_from(GROUPINGS_2322)),
+        rank=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_route(self, selected, rank, seed):
+        s_a, s_b = (structure_from_grouping(LAYOUT_2322, g) for g in selected)
+        spec_a = TypeIProjection(stream(seed, 0).ginibre_density(s_a.dim_e, s_a.dim_e))
+        spec_b = TypeIProjection(stream(seed, 1).ginibre_density(s_b.dim_e, s_b.dim_e))
+        state = stream(seed, 2).ginibre_ensemble(24, rank)
+        h = gue_hamiltonian(24, mix_seed(seed, 3))
+        grid = TimeGrid(0.0, 1.5, 3)
+        got = trajectory(state, h, grid, s_a, spec_a, s_b, spec_b)
+        want = public_route_points(ensemble_density(*state), h, grid, s_a, spec_a, s_b, spec_b)
+        assert_points_close(got, want, 1e-12)
+        # Lemma 2 does not depend on the state: constant along the dense route
+        dense_lemma2 = [q.lemma2_defect for q in want]
+        assert max(dense_lemma2) - min(dense_lemma2) <= 1e-12
+        if set(selected[1]) <= set(selected[0]):
+            # c = E & S' is empty: Tr_E'(P_A rho) keeps all of rho_S'
+            assert max(p.lemma1_a_to_b for p in got) <= 1e-15
+
+    def test_every_pair_with_maximally_mixed_references(self):
+        state = stream(164).ginibre_ensemble(24, 2)
+        h = gue_hamiltonian(24, 165)
+        for selected in itertools.product(GROUPINGS_2322, GROUPINGS_2322):
+            s_a, s_b = (structure_from_grouping(LAYOUT_2322, g) for g in selected)
+            rec = trajectory(
+                state, h, TimeGrid(0.0, 1.0, 1), s_a, max_mixed_spec(s_a.dim_e), s_b, max_mixed_spec(s_b.dim_e)
+            )
+            # the two references commute exactly: Delta = I/(d_b d_c d_e) - I/(d_b d_c d_e)
+            assert all(p.lemma2_defect == 0.0 for p in rec), selected
+            if set(selected[1]) <= set(selected[0]):
+                assert all(p.lemma1_a_to_b <= 1e-15 for p in rec), selected
+
+
+class TestTrajectoryInvariants:
+    def setup_args(self):
+        s_a, spec_a, s_b, spec_b = _nested_groupings()
+        return gue_hamiltonian(16, 166), TimeGrid(0.0, 1.0, 2), s_a, spec_a, s_b, spec_b
+
+    def test_non_unitary_propagation_is_caught(self, monkeypatch):
+        phases = dynamics._phases
+        monkeypatch.setattr(dynamics, "_phases", lambda w, t: (1 + 1e-7) * phases(w, t))
+        with pytest.raises(InvariantViolation, match="not orthonormal"):
+            trajectory(stream(167).ginibre_ensemble(16, 2), *self.setup_args())
+
+    @pytest.mark.parametrize(
+        "weights, vectors, fragment",
+        [
+            ([0.5, 0.5], np.eye(16)[:, [0, 0]], "not orthonormal"),
+            ([0.5, 0.5], 1.001 * np.eye(16)[:, :2], "not orthonormal"),
+            ([0.5, 0.4], np.eye(16)[:, :2], "sum to"),
+            ([1.5, -0.5], np.eye(16)[:, :2], "positive"),
+            ([1.0], np.eye(16)[:, :2], "2 vectors for 1 weights"),
+        ],
+        ids=["repeated", "unnormalized", "weights-sum", "negative-weight", "count"],
+    )
+    def test_bad_ensemble_rejected_at_entry(self, weights, vectors, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            trajectory((weights, vectors), *self.setup_args())

@@ -19,8 +19,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tpslab import read_matrix_file
 from tpslab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +103,23 @@ def test_teleport_check_has_the_analytic_values(tmp_path):
         assert float(row["purity_P_rho"]) == pytest.approx(1.0, abs=1e-12)
         spectrum = [float(row[f"rho12_ev{k}"]) for k in (1, 2, 3, 4)] + [float(row[f"rho1_ev{k}"]) for k in (1, 2)]
         assert spectrum == pytest.approx([0.5, 0.5, 0.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_dynamics_rho_ref_lemma2_is_the_closed_form(tmp_path):
+    # A = {0,1,2} | {3} with reference R_A, B = {1} | {0,2,3} with I/8: the
+    # factor groups are a = {1}, b = {0,2}, c = {} and e = {3}, so the
+    # commutator is rho_a (x) Delta with Delta = I/4 (x) (R_A - I/2) for
+    # every state, and its trace norm is sum |lambda_k - 1/2| over R_A's
+    # spectrum (0.2, 0.8): 0.6 at every time.
+    rho_ref, _ = read_matrix_file(GOLDEN / "dynamics-rho-ref" / "rho_ref.tpsw")
+    spectrum = np.linalg.eigvalsh(rho_ref)
+    assert spectrum == pytest.approx([0.2, 0.8], abs=1e-12)
+    closed_form = float(np.abs(spectrum - 0.5).sum())
+    assert closed_form == pytest.approx(0.6, abs=1e-12)
+    out = run("dynamics-rho-ref", tmp_path / "out")
+    for series in (out / "series.csv", GOLDEN / "dynamics-rho-ref" / "series.csv"):
+        for row in read_series(series):
+            assert float(row["lemma2_tracenorm"]) == pytest.approx(closed_form, abs=1e-12)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from tpslab import (
     von_neumann_entropy,
     write_matrix_file,
 )
+from tpslab.structures import vector_to_structure_basis
 from conftest import bell_density, haar_structure, stream, teleport_setup
 
 THREE_QUBITS = FactorLayout((2, 2, 2))
@@ -62,6 +65,33 @@ class TestGrouping:
             tracemalloc.stop()
         assert peak < 2**20
         assert s.basis.shape == (1024,)
+
+    def test_ten_qubit_index_maps_read_no_dense_matrix(self):
+        layout = FactorLayout((2,) * 10)
+        s_a = structure_from_grouping(layout, range(5))
+        s_b = structure_from_grouping(layout, (0, 9))
+        vectors = stream(19).complex_matrix(1024, 2)
+        tracemalloc.start()
+        try:
+            vector_to_structure_basis(vectors[:, 0], s_a)
+            vector_to_structure_basis(vectors, s_a)
+            d_coefficient(s_a, 31, 0, 1, 30)
+            small_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            t = transition_matrix(s_a, s_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert small_peak < 2**20
+        # the 16 MiB result is the only dense matrix built
+        assert peak < t.nbytes + 2**20
+
+    def test_grouping_must_match_its_index_map(self):
+        s = structure_from_grouping(THREE_QUBITS, (1,))
+        with pytest.raises(ValueError, match="does not define this structure"):
+            Structure(2, 4, s.basis, grouping=((2, 2, 2), (0,)))
+        with pytest.raises(ValueError, match="does not define this structure"):
+            Structure(2, 4, haar_structure(8, 2, 42).w, grouping=s.grouping)
 
     def test_index_map_must_be_a_permutation(self):
         for basis in ([0, 0, 1, 2], [0, 1, 2, 4], [0.0, 1.0, 2.0, 3.0]):
@@ -236,6 +266,27 @@ class TestPermutationGather:
         to_dense, from_dense = _dense_pair(m, s)
         np.testing.assert_array_equal(to_structure_basis(m, s), to_dense)
         np.testing.assert_array_equal(from_structure_basis(m, s), from_dense)
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 3)])
+    def test_vectors_gather(self, shape):
+        psi = stream(39).complex_normals(int(np.prod(shape))).reshape(shape)
+        for s in [identity_structure(3, 4)] + [structure_from_grouping(self.LAYOUT, g) for g in ((0,), (1, 2), (0, 2))]:
+            np.testing.assert_array_equal(vector_to_structure_basis(psi, s), s.w.conj().T @ psi)
+        s = haar_structure(12, 3, 40)
+        np.testing.assert_array_equal(vector_to_structure_basis(psi, s), s.w.conj().T @ psi)
+
+    def test_transition_matrices_and_coefficients(self):
+        structures = [structure_from_grouping(self.LAYOUT, g) for g in ((0,), (1,), (0, 2), (1, 2))]
+        structures.append(haar_structure(12, 3, 41))
+        for s_from in structures:
+            for s_to in structures:
+                np.testing.assert_array_equal(transition_matrix(s_from, s_to), s_to.w.conj().T @ s_from.w)
+        for s in structures[:3]:
+            w = s.w
+            for i, alpha, m, n in itertools.product(range(s.dim_s), range(s.dim_e), range(s.dim_s), range(s.dim_e)):
+                got = d_coefficient(s, i, alpha, m, n)
+                want = complex(np.conj(w[i * s.dim_e + alpha, m * s.dim_e + n]))
+                assert (got.real, math.copysign(1, got.imag)) == (want.real, math.copysign(1, want.imag))
 
     def test_signed_permutation_takes_dense_path(self):
         w = np.eye(4, dtype=np.complex128)[:, [2, 0, 3, 1]]
