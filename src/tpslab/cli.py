@@ -1,9 +1,10 @@
 """Command-line entry: run and validate scenario configs.
 
-Exit codes: 0 success, 1 invalid config, 2 invariant violation during a run,
-3 the operating system refused an operation of the run (writing the report,
-starting worker processes, or allocating memory).  Errors print a single
-JSON line on stderr.
+Exit codes: 0 success, 1 invalid config, 2 invariant violation during a run
+(an identity that failed to hold, or a value the run produced that failed
+its validation), 3 the operating system refused an operation of the run
+(writing the report, starting worker processes, or allocating memory).
+Errors print a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def main(argv=None) -> int:
 
     try:
         paths = run_scenario(cfg)
-    except InvariantViolation as exc:
+    except (InvariantViolation, ValueError) as exc:
+        # the config passed load_config, so a ValueError here is a run-time
+        # validation of something the run computed, such as a drawn state
         return _fail("invariant", str(exc), 2)
     except OSError as exc:
         return _fail("io", str(exc), 3)

@@ -68,6 +68,10 @@ def mix_seed(base_seed: int, trial_index: int) -> int:
     return z ^ (z >> 31)
 
 
+# Complex normals drawn per Box-Muller pass; bounds its temporaries to a few MiB.
+_NORMALS_CHUNK = 1 << 16
+
+
 class RandomStream:
     """Seeded sampler for the random ensembles used across the package."""
 
@@ -78,11 +82,21 @@ class RandomStream:
         return self._gen.random((n, 2))
 
     def complex_normals(self, n: int) -> np.ndarray:
-        """n standard complex Gaussians (re, im independent N(0, 1))."""
-        u = self.uniform_pairs(n)
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        theta = 2.0 * np.pi * u[:, 1]
-        return r * np.cos(theta) + 1j * r * np.sin(theta)
+        """n standard complex Gaussians (re, im independent N(0, 1)).
+
+        The output is filled in place, ``_NORMALS_CHUNK`` entries at a time:
+        consecutive uniform-pair draws continue one stream, so the values are
+        those of a single draw, and the Box-Muller temporaries stay small."""
+        out = np.empty(n, dtype=np.complex128)
+        parts = out.view(np.float64).reshape(n, 2)
+        for start in range(0, n, _NORMALS_CHUNK):
+            u = self.uniform_pairs(min(_NORMALS_CHUNK, n - start))
+            r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+            theta = 2.0 * np.pi * u[:, 1]
+            stop = start + u.shape[0]
+            np.multiply(r, np.cos(theta), out=parts[start:stop, 0])
+            np.multiply(r, np.sin(theta), out=parts[start:stop, 1])
+        return out
 
     def complex_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.complex_normals(rows * cols).reshape(rows, cols)
@@ -91,7 +105,9 @@ class RandomStream:
         """(G + G^H) / 2 for a complex Gaussian G."""
         _check_dim(dim)
         g = self.complex_matrix(dim, dim)
-        return (g + g.conj().T) / 2
+        g += g.conj().T
+        g /= 2
+        return g
 
     def haar_pure(self, dim: int) -> np.ndarray:
         """Normalized complex Gaussian vector: Haar-uniform on the sphere."""

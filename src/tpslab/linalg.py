@@ -133,7 +133,14 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product; composite row index is ``i_a * rows_b + i_b``."""
-    return np.kron(as_matrix(a, "kron operand a"), as_matrix(b, "kron operand b"))
+    return _kron(as_matrix(a, "kron operand a"), as_matrix(b, "kron operand b"))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trusted kernel of :func:`kron` for 2-D arrays: each entry is the one
+    product ``np.kron`` forms, without its general-rank set-up."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -148,12 +155,15 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
         raise ValueError(
             f"partial_trace: matrix dim {m.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
+    if keep not in ("A", "B"):
+        raise ValueError(f"partial_trace: keep must be 'A' or 'B', got {keep!r}")
+    return _partial_trace(m, dim_a, dim_b, keep)
+
+
+def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """Trusted kernel of :func:`partial_trace`: arguments already checked."""
     r = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("abcb->ac", r)
-    if keep == "B":
-        return np.einsum("abac->bc", r)
-    raise ValueError(f"partial_trace: keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("abcb->ac" if keep == "A" else "abac->bc", r)
 
 
 def eigh(h, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:

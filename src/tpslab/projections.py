@@ -20,8 +20,9 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .linalg import (
+    _kron,
+    _partial_trace,
     check_density_matrix,
-    kron,
     partial_trace,
     require_hermitian,
     trace_norm,
@@ -193,20 +194,21 @@ def apply_projection(mat, s: Structure, spec: ProjectionSpec) -> np.ndarray:
 
 def _project_in_basis(m: np.ndarray, s: Structure, spec: ProjectionSpec) -> np.ndarray:
     """The projection on an operator given, and returned, in the structure's
-    own product basis; trusted kernel of :func:`apply_projection`."""
+    own product basis; trusted kernel of :func:`apply_projection`: ``m`` is a
+    complex128 array of the structure's dimension."""
     ds, de = s.dim_s, s.dim_e
     if isinstance(spec, TypeIProjection):
-        out = kron(partial_trace(m, ds, de, "A"), spec.rho_ref)
+        out = _kron(_partial_trace(m, ds, de, "A"), spec.rho_ref)
     elif isinstance(spec, TypeIIProjection):
         out = np.zeros_like(m)
         eye_e = np.eye(de, dtype=np.complex128)
         for p_s, rho_e in spec.bins:
-            out += kron(partial_trace(kron(p_s, eye_e) @ m, ds, de, "A"), rho_e)
+            out += _kron(_partial_trace(_kron(p_s, eye_e) @ m, ds, de, "A"), rho_e)
     elif isinstance(spec, TypeIIIProjection):
         out = np.zeros_like(m)
         eye_s = np.eye(ds, dtype=np.complex128)
         for p_e in spec.projectors:
-            out += kron(partial_trace(kron(eye_s, p_e) @ m, ds, de, "A"), p_e)
+            out += _kron(_partial_trace(_kron(eye_s, p_e) @ m, ds, de, "A"), p_e)
     else:
         raise TypeError(f"unknown projection spec type {type(spec).__name__}")
     return out

@@ -13,6 +13,15 @@ stream and runs at one BLAS thread, in a worker or in this process, so the
 report bytes do not depend on the worker count (without numpy's bundled
 OpenBLAS, trials run in this process at its BLAS thread count).
 ``teleport-check`` and ``dynamics-trace`` run in this process.
+
+A ``lemma1-sweep`` or ``lemma2-sweep`` trial validates its inputs once: the
+state, drawn as its eigen-ensemble, with ``check_ensemble``; the alternate
+structure with its unitarity check; both structure/spec pairs with
+``check_compatible``.  It then works in structure A's product basis with
+trusted kernels: B's basis enters as the transition matrix from B to A, and
+every defect keeps its trace-residual check.  The public functions
+(``cross_relevance_matrix``, ``commutator_defect``) give the same rows to
+roundoff and serve as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -27,12 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .dynamics import GENERATOR_NAME, RandomStream, mix_seed, trajectory
+from .dynamics import GENERATOR_NAME, RandomStream, _ensemble_density, mix_seed, trajectory
 from .linalg import (
     InvariantViolation,
     _checked_spectrum,
     _spectral_entropy,
-    check_density_matrix,
+    check_ensemble,
     kron,
     maximally_mixed,
     purity,
@@ -40,15 +49,13 @@ from .linalg import (
 )
 from .projections import (
     TypeIProjection,
-    _complement,
-    apply_projection,
+    _project_in_basis,
     check_compatible,
     project,
     relevance_defect,
 )
 from .relativity import (
-    _commutator_defect,
-    _reduce_complement,
+    _checked_report,
     _split_entropies,
     bell_pair,
     commutator_defect,
@@ -56,11 +63,14 @@ from .relativity import (
 )
 from .structures import (
     Structure,
+    _reduce,
     from_structure_basis,
     reduced_state,
     structure_from_grouping,
     structure_from_unitary,
     to_structure_basis,
+    transition_matrix,
+    vector_to_structure_basis,
 )
 
 DEFECT_THRESHOLD = 1e-6
@@ -300,32 +310,52 @@ def _haar_structure(stream: RandomStream, s_a: Structure, trial: int) -> Structu
     )
 
 
-def _lemma_trial_inputs(cfg: ScenarioConfig, trial: int) -> tuple[str, np.ndarray, Structure, TypeIProjection]:
-    """``(state_kind, rho, s_b, spec_b)`` of one lemma trial: the state,
-    validated here once, and the alternate split with its maximally mixed
-    reference.  Both structure/spec pairs are checked."""
+def _lemma_trial_inputs(
+    cfg: ScenarioConfig, trial: int
+) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, Structure]:
+    """``(state_kind, rho_a, rho_b, v, s_b)`` of one lemma trial, validated
+    here once: the trial's state in structure A's product basis (``rho_a``)
+    and in the alternate split B's (``rho_b``), ``v`` = B's product basis in
+    A's coordinates, and B itself.  Operators change from A's to B's basis
+    as ``v^H x v`` and back as ``v x v^H``.
+
+    The state is drawn as its eigen-ensemble (weights, vectors) and checked
+    with :func:`check_ensemble`: positive weights summing to 1 and
+    orthonormal vectors make ``Psi diag(p) Psi^H`` Hermitian, unit-trace and
+    positive semidefinite, so no density-matrix check follows.  B has A's
+    factor dims, so it takes A's spec, the maximally mixed reference; both
+    structure/spec pairs are checked.
+    """
     s_a = cfg.structure_a
+    dim = s_a.total_dim
     stream = RandomStream(mix_seed(cfg.base_seed, trial))
     # Even trials: Haar pure; odd trials: rank-2 Ginibre mixed.
     if trial % 2 == 0:
-        v = stream.haar_pure(s_a.total_dim)
-        kind, rho = "pure", np.outer(v, v.conj())
+        kind, (weights, vectors) = "pure", (np.ones(1), stream.haar_pure(dim)[:, None])
     else:
-        kind, rho = "mixed", stream.ginibre_density(s_a.total_dim, min(2, s_a.total_dim))
+        kind, (weights, vectors) = "mixed", stream.ginibre_ensemble(dim, min(2, dim))
+    weights, vectors = check_ensemble(weights, vectors, name="rho")
     s_b = _haar_structure(stream, s_a, trial)
-    spec_b = TypeIProjection(maximally_mixed(s_b.dim_e))
     check_compatible(s_a, cfg.projection_a)
-    check_compatible(s_b, spec_b)
-    return kind, check_density_matrix(rho), s_b, spec_b
+    check_compatible(s_b, cfg.projection_a)
+    v = transition_matrix(s_b, s_a)
+    psi_a = vector_to_structure_basis(vectors, s_a)
+    rho_a = _ensemble_density(weights, psi_a)
+    rho_b = _ensemble_density(weights, v.conj().T @ psi_a)
+    return kind, rho_a, rho_b, v, s_b
 
 
 def _lemma1_trial(cfg: ScenarioConfig, trial: int) -> list:
-    s_a, spec_a = cfg.structure_a, cfg.projection_a
-    kind, rho, s_b, spec_b = _lemma_trial_inputs(cfg, trial)
-    q_a = _complement(rho, s_a, spec_a)
-    rep_ab = _reduce_complement(q_a, s_b)
-    rep_ba = _reduce_complement(_complement(rho, s_b, spec_b), s_a)
-    rep_aa = _reduce_complement(q_a, s_a)
+    s_a, spec = cfg.structure_a, cfg.projection_a
+    kind, rho_a, rho_b, v, s_b = _lemma_trial_inputs(cfg, trial)
+    vh = v.conj().T
+    # each complement is formed in its own structure's basis and changed to
+    # the other's before it is reduced
+    q_a = rho_a - _project_in_basis(rho_a, s_a, spec)
+    q_b = rho_b - _project_in_basis(rho_b, s_b, spec)
+    rep_ab = _checked_report(_reduce(vh @ q_a @ v, s_b, "S"), "lemma1-sweep A->B")
+    rep_ba = _checked_report(_reduce(v @ q_b @ vh, s_a, "S"), "lemma1-sweep B->A")
+    rep_aa = _checked_report(_reduce(q_a, s_a, "S"), "lemma1-sweep A->A")
     return [
         trial,
         kind,
@@ -363,12 +393,18 @@ def _lemma1_sweep(cfg: ScenarioConfig):
 
 
 def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
-    s_a, spec_a = cfg.structure_a, cfg.projection_a
-    kind, rho, s_b, spec_b = _lemma_trial_inputs(cfg, trial)
-    p_a_rho = apply_projection(rho, s_a, spec_a)
-    p_b_rho = apply_projection(rho, s_b, spec_b)
-    defect = _commutator_defect(p_a_rho, p_b_rho, s_a, spec_a, s_b, spec_b)
-    control = _commutator_defect(p_a_rho, p_a_rho, s_a, spec_a, s_a, spec_a)
+    s_a, spec = cfg.structure_a, cfg.projection_a
+    kind, rho_a, rho_b, v, s_b = _lemma_trial_inputs(cfg, trial)
+    vh = v.conj().T
+    # every term is in A's coordinates; P_B acts in B's basis
+    p_a_rho = _project_in_basis(rho_a, s_a, spec)
+    p_b_rho = v @ _project_in_basis(rho_b, s_b, spec) @ vh
+    p_b_p_a_rho = v @ _project_in_basis(vh @ p_a_rho @ v, s_b, spec) @ vh
+    defect = trace_norm(_project_in_basis(p_b_rho, s_a, spec) - p_b_p_a_rho)
+    # the same-spec control: P_A P_A rho formed twice and subtracted, zero
+    # unless the kernel is not deterministic; making it meaningful changes
+    # the report schema
+    control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - _project_in_basis(p_a_rho, s_a, spec))
     return [trial, kind, defect, control]
 
 

@@ -30,10 +30,10 @@ import numpy as np
 from .linalg import (
     UNITARITY_TOL,
     _orthonormality_defect,
+    _partial_trace,
     as_matrix,
     as_vector,
     check_density_matrix,
-    partial_trace,
     require_square,
 )
 
@@ -227,7 +227,7 @@ def vector_to_structure_basis(psi, s: Structure) -> np.ndarray:
 
 def _reduce(m: np.ndarray, s: Structure, which: str) -> np.ndarray:
     """Partial trace of an operator already in the structure's basis; trusted."""
-    return partial_trace(m, s.dim_s, s.dim_e, "A" if which == "S" else "B")
+    return _partial_trace(m, s.dim_s, s.dim_e, "A" if which == "S" else "B")
 
 
 def reduced_state(rho, s: Structure, which: str) -> np.ndarray:

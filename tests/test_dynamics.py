@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ class TestRandomEnsembles:
         w = np.linalg.eigvalsh(rho)
         assert w[0] >= -1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 4096, 2**20])
+    def test_complex_normals_equal_one_box_muller_draw(self, n):
+        # the documented formula over a single draw of all n uniform pairs
+        u = np.random.Generator(np.random.PCG64(43)).random((n, 2))
+        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        theta = 2.0 * np.pi * u[:, 1]
+        want = r * np.cos(theta) + 1j * r * np.sin(theta)
+        assert RandomStream(43).complex_normals(n).tobytes() == want.tobytes()
+
+    def test_gue_peak_memory(self):
+        # the result takes 16 MiB at d=1024; Box-Muller over all d^2 entries
+        # at once used to peak at 65 MiB
+        tracemalloc.start()
+        try:
+            RandomStream(44).gue(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
     def test_ginibre_ensemble_is_the_ginibre_density(self):
         weights, vectors = RandomStream(42).ginibre_ensemble(6, 3)

@@ -1,14 +1,30 @@
-"""Sweep trials in worker processes against the same trials in-process."""
+"""Sweep trials in worker processes against the same trials in-process, and
+the lemma sweeps' trial path against the public dense route."""
 
+import dataclasses
 import functools
 import json
 import multiprocessing
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpslab import InvariantViolation, relativity, scenarios
+from tpslab import (
+    InvariantViolation,
+    RandomStream,
+    commutator_defect,
+    cross_relevance_matrix,
+    load_config,
+    mix_seed,
+    relativity,
+    scenarios,
+    structure_from_unitary,
+    write_matrix_file,
+)
 from tpslab.cli import main
 
 MAP_TRIALS = scenarios._map_trials
@@ -39,6 +55,15 @@ def run_sweep(tmp_path, scenario: str, name: str) -> int:
     }
     config.write_text(json.dumps(cfg), encoding="utf-8")
     return main(["run", str(config), "--output-dir", str(tmp_path / name)])
+
+
+GINIBRE_ENSEMBLE = RandomStream.ginibre_ensemble
+
+
+def skewed_ensemble(self, dim, rank):
+    """A Ginibre ensemble whose vectors are 0.1% too long."""
+    weights, vectors = GINIBRE_ENSEMBLE(self, dim, rank)
+    return weights, vectors * 1.001
 
 
 def blas_threads_trial(cfg, trial):
@@ -100,3 +125,106 @@ def test_trials_run_at_one_blas_thread_in_trial_order(workers):
     assert all(r[2] == 1 for r in rows)
     pids = {r[1] for r in rows}
     assert (os.getpid() in pids) == (workers == 1)
+
+
+@pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=needs_pool)], ids=["in-process", "worker"]
+)
+@pytest.mark.parametrize("scenario", ["lemma1-sweep", "lemma2-sweep"])
+def test_failed_run_time_validation_exits_2(tmp_path, monkeypatch, capsys, scenario, workers):
+    # fork hands the patched sampler to the workers
+    monkeypatch.setattr(RandomStream, "ginibre_ensemble", skewed_ensemble)
+    use_workers(monkeypatch, workers)
+    assert run_sweep(tmp_path, scenario, "out") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "invariant"
+    assert "not orthonormal" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# (layout, system factors of the grouping A): a square and a non-square split
+ORACLE_LAYOUTS = {"2222": ([2, 2, 2, 2], [0, 1]), "232": ([2, 3, 2], [0, 2])}
+# structure A as a grouping, a permutation file (an index map without a
+# grouping) and a Haar file (a dense unitary)
+ORACLE_CASES = [(layout, kind) for layout in ORACLE_LAYOUTS for kind in ("grouping", "permutation", "haar")]
+
+
+@pytest.fixture(scope="module")
+def oracle_configs(tmp_path_factory):
+    """``(layout, kind) -> (lemma1 config, lemma2 config)``, loaded from files."""
+    directory = tmp_path_factory.mktemp("oracle")
+    configs = {}
+    for layout, kind in ORACLE_CASES:
+        dims, selected = ORACLE_LAYOUTS[layout]
+        dim, dim_s = int(np.prod(dims)), int(np.prod([dims[i] for i in selected]))
+        if kind == "grouping":
+            structure_a = {"grouping": selected}
+        else:
+            path = directory / f"{layout}-{kind}.tpsw"
+            stream = RandomStream(dim)
+            if kind == "permutation":
+                w = np.eye(dim, dtype=np.complex128)[:, np.argsort(stream.uniform_pairs(dim)[:, 0])]
+            else:
+                w = stream.haar_unitary(dim)
+            write_matrix_file(path, w, split_dim=dim_s)
+            structure_a = {"unitary_file": path.name}
+        pair = []
+        for scenario in ("lemma1-sweep", "lemma2-sweep"):
+            config = directory / f"{layout}-{kind}-{scenario}.json"
+            cfg = {"version": 1, "scenario": scenario, "base_seed": 0, "output_dir": "out",
+                   "layout": dims, "structure_a": structure_a, "trials": 1}
+            config.write_text(json.dumps(cfg), encoding="utf-8")
+            pair.append(load_config(config))
+        assert (pair[0].structure_a.basis.ndim == 2) == (kind == "haar")
+        assert (pair[0].structure_a.grouping is None) == (kind != "grouping")
+        configs[layout, kind] = tuple(pair)
+    return configs
+
+
+def public_route_rows(cfg, trial: int) -> tuple[list, list]:
+    """The lemma1 and lemma2 rows of one trial from the public functions, on
+    the dense state rho = Psi diag(p) Psi^H in reference coordinates."""
+    s_a, spec = cfg.structure_a, cfg.projection_a
+    dim = s_a.total_dim
+    stream = RandomStream(mix_seed(cfg.base_seed, trial))
+    if trial % 2 == 0:
+        kind, weights, vectors = "pure", np.ones(1), stream.haar_pure(dim)[:, None]
+    else:
+        kind, (weights, vectors) = "mixed", stream.ginibre_ensemble(dim, 2)
+    s_b = structure_from_unitary(stream.haar_unitary(dim), s_a.dim_s, s_a.dim_e)
+    rho = (vectors * weights) @ vectors.conj().T
+    reports = [
+        cross_relevance_matrix(rho, s_a, spec, s_b),
+        cross_relevance_matrix(rho, s_b, spec, s_a),
+        cross_relevance_matrix(rho, s_a, spec, s_a),
+    ]
+    lemma1 = [trial, kind, *(r.trace_norm_defect for r in reports), max(r.trace_residual for r in reports)]
+    lemma2 = [
+        trial,
+        kind,
+        commutator_defect(rho, s_a, spec, s_b, spec),
+        commutator_defect(rho, s_a, spec, s_a, spec),
+    ]
+    return lemma1, lemma2
+
+
+def assert_rows_close(got: list, want: list) -> None:
+    assert got[:2] == want[:2]
+    for g, w in zip(got[2:], want[2:]):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    base_seed=st.integers(0, 2**64 - 1),
+    pair=st.integers(0, 10**6),
+)
+def test_lemma_rows_equal_the_public_dense_route(oracle_configs, case, base_seed, pair):
+    lemma1_cfg, lemma2_cfg = (dataclasses.replace(c, base_seed=base_seed) for c in oracle_configs[case])
+    for trial in (2 * pair, 2 * pair + 1):  # one pure and one mixed state
+        want1, want2 = public_route_rows(lemma1_cfg, trial)
+        assert_rows_close(scenarios._lemma1_trial(lemma1_cfg, trial), want1)
+        assert_rows_close(scenarios._lemma2_trial(lemma2_cfg, trial), want2)
