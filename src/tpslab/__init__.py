@@ -10,7 +10,6 @@ from .linalg import (
     kron,
     maximally_mixed,
     partial_trace,
-    propagator,
     purity,
     schmidt,
     trace_norm,
@@ -39,7 +38,6 @@ from .projections import (
     computational_type_iii,
     idempotency_defect,
     project,
-    reference_matches_environment,
     relevance_defect,
 )
 from .relativity import (
@@ -59,7 +57,6 @@ from .dynamics import (
     RandomStream,
     TimeGrid,
     TrajectoryPoint,
-    evolve,
     mix_seed,
     trajectory,
 )

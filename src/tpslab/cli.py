@@ -1,10 +1,10 @@
 """Command-line entry: run and validate scenario configs.
 
-Exit codes: 0 success, 1 invalid config, 2 invariant violation during a run
-(an identity that failed to hold, or a value the run produced that failed
-its validation), 3 the operating system refused an operation of the run
-(writing the report, starting worker processes, or allocating memory).
-Errors print a single JSON line on stderr.
+Exit codes: 0 success or ``--help``, 1 invalid command line or config, 2
+invariant violation during a run (an identity that failed to hold, or a value
+the run produced that failed its validation), 3 the operating system refused
+an operation of the run (writing the report, starting worker processes, or
+allocating memory).  Errors print a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -19,13 +19,22 @@ from .linalg import InvariantViolation
 from .scenarios import dump_json, run_scenario
 
 
+class _UsageError(Exception):
+    """A rejected command line; argparse would print usage and exit 2, the invariant code."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _fail(kind: str, message: str, code: int) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tpslab",
         description="Reproducible scenario runner for cross-split open-system experiments.",
     )
@@ -40,15 +49,16 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="check a config and echo its normalized form")
     val_p.add_argument("config", type=Path, help="path to a scenario JSON file")
 
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(
             args.config,
             seed_override=getattr(args, "seed", None),
             trials_override=getattr(args, "trials", None),
             output_dir_override=getattr(args, "output_dir", None),
         )
+    except _UsageError as exc:
+        return _fail("usage", str(exc), 1)
     except ConfigError as exc:
         return _fail("config", str(exc), 1)
 

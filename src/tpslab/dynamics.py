@@ -28,9 +28,7 @@ from .linalg import (
     _phases,
     _propagator_from_eigh,
     _spectral_entropy,
-    check_density_matrix,
     check_ensemble,
-    eigh,
     purity,
     require_hermitian,
 )
@@ -153,12 +151,13 @@ def _check_dim(dim: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian generator of the unitary dynamics."""
+    """Hermitian generator of the unitary dynamics, stored as (H + H^H) / 2."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = require_hermitian(self.mat, name="hamiltonian").copy()
+        mat = require_hermitian(self.mat, name="hamiltonian")
+        mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -190,15 +189,6 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
 
-def evolve(rho0, h: Hamiltonian, t: float) -> np.ndarray:
-    """Conjugate a state by exp(-i H t); spectrum-preserving by construction."""
-    rho0 = check_density_matrix(rho0)
-    if rho0.shape[0] != h.dim:
-        raise ValueError(f"evolve: state dim {rho0.shape[0]} does not match hamiltonian dim {h.dim}")
-    u = _propagator_from_eigh(*eigh(h.mat, name="hamiltonian"), t)
-    return u @ rho0 @ u.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryPoint:
     t: float
@@ -228,11 +218,11 @@ def trajectory(
     vectors)``: rho_0 = sum_k weights[k] |psi_k><psi_k|, with psi_k the k-th
     column of ``vectors``.  The ensemble and both structure/spec pairs are
     validated here, once; the ensemble needs positive weights summing to 1
-    and orthonormal vectors.  Propagation uses a single
-    eigendecomposition H = V diag(w) V^H evaluated at absolute times, so the
-    points are independent of grid refinement and the endpoint matches a
-    one-shot evolve.  Both reduced trajectories come from the same total
-    state; no projection feeds back into the dynamics.  The commutator
+    and orthonormal vectors.  Propagation uses a single eigendecomposition
+    H = V diag(w) V^H of the validated :class:`Hamiltonian` matrix at
+    absolute times, so the points are independent of grid refinement and the
+    endpoint matches a one-shot propagation.  Both reduced trajectories come
+    from the same total state; no projection feeds back into the dynamics.  The commutator
     defect is recorded as NaN unless both specs are type_i (its defined
     scope).
 
@@ -240,7 +230,7 @@ def trajectory(
 
     * Two factor groupings of one layout with type_i specs (the pairs that
       ``dynamics-trace`` configs build) never form a d x d state.  The
-      vectors evolve as psi_k(t) = V (exp(-i w t) * V^H psi_k), and every
+      vectors propagate as psi_k(t) = V (exp(-i w t) * V^H psi_k), and every
       column comes from their factor tensors; S(rho_t) is the entropy of the
       weights, and the commutator defect is the state-independent closed
       form of :class:`_GroupingPair`, computed once.  At each time the
@@ -258,7 +248,7 @@ def trajectory(
         raise ValueError("trajectory: state, hamiltonian and structure dims do not match")
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
-    w, v = eigh(h.mat, name="hamiltonian")
+    w, v = np.linalg.eigh(h.mat)
     times = grid.times()
     if (
         isinstance(spec_a, TypeIProjection)

@@ -187,11 +187,6 @@ def _propagator_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * _phases(w, t)) @ v.conj().T
 
 
-def propagator(h, t: float) -> np.ndarray:
-    """exp(-i h t) via eigendecomposition; exactly unitary for Hermitian h."""
-    return _propagator_from_eigh(*eigh(h, name="propagator generator"), t)
-
-
 def trace_norm(m) -> float:
     """Sum of singular values.
 
@@ -228,13 +223,6 @@ class SchmidtDecomposition:
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(self.coeffs > SCHMIDT_RANK_TOL))
-
-    def reconstruct(self) -> np.ndarray:
-        dim = self.left_vectors.shape[0] * self.right_vectors.shape[0]
-        out = np.zeros(dim, dtype=np.complex128)
-        for k, c in enumerate(self.coeffs):
-            out += c * np.kron(self.left_vectors[:, k], self.right_vectors[:, k])
-        return out
 
 
 def schmidt(psi, dim_a: int, dim_b: int) -> SchmidtDecomposition:

@@ -27,7 +27,7 @@ from .linalg import (
     require_hermitian,
     trace_norm,
 )
-from .structures import Structure, from_structure_basis, reduced_state, to_structure_basis
+from .structures import Structure, from_structure_basis, to_structure_basis
 
 _ORTHO_TOL = 1e-10
 
@@ -38,6 +38,30 @@ def _check_projector(p, name: str) -> np.ndarray:
     if idem > _ORTHO_TOL:
         raise ValueError(f"{name}: not idempotent (defect {idem:.3e})")
     return p
+
+
+def _check_orthogonal(mats: list[np.ndarray], message: str) -> None:
+    """Reject the first pair ``a < b`` with a nonzero product ``mats[a] @ mats[b]``;
+    ``message`` is formatted with ``a`` and ``b``."""
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            if float(np.abs(mats[a] @ mats[b]).max()) > _ORTHO_TOL:
+                raise ValueError(message.format(a, b))
+
+
+def _check_resolution(projectors: list[np.ndarray], what: str) -> None:
+    """Reject projectors whose sum is not the identity."""
+    completeness = float(np.abs(sum(projectors) - np.eye(projectors[0].shape[0])).max())
+    if completeness > _ORTHO_TOL:
+        raise ValueError(f"{what} do not resolve the identity (defect {completeness:.3e})")
+
+
+def _frozen(mats: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Read-only copies, so that a validated family cannot change later."""
+    out = tuple(m.copy() for m in mats)
+    for m in out:
+        m.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,31 +106,11 @@ class TypeIIProjection:
         for idx, (p_s, rho_e) in enumerate(checked):
             if p_s.shape[0] != dim_s or rho_e.shape[0] != dim_e:
                 raise ValueError(f"type_ii: bin {idx} has inconsistent factor dimensions")
-        for a in range(len(checked)):
-            for b in range(a + 1, len(checked)):
-                if float(np.abs(checked[a][0] @ checked[b][0]).max()) > _ORTHO_TOL:
-                    raise ValueError(
-                        f"type_ii: system projectors {a} and {b} are not orthogonal"
-                    )
-                if float(np.abs(checked[a][1] @ checked[b][1]).max()) > _ORTHO_TOL:
-                    raise ValueError(
-                        f"type_ii: environment states {a} and {b} do not have"
-                        " orthogonal supports"
-                    )
-        total = sum(p for p, _ in checked)
-        completeness = float(np.abs(total - np.eye(dim_s)).max())
-        if completeness > _ORTHO_TOL:
-            raise ValueError(
-                f"type_ii: system projectors do not resolve the identity"
-                f" (defect {completeness:.3e})"
-            )
-        frozen = []
-        for p_s, rho_e in checked:
-            p_s, rho_e = p_s.copy(), rho_e.copy()
-            p_s.setflags(write=False)
-            rho_e.setflags(write=False)
-            frozen.append((p_s, rho_e))
-        object.__setattr__(self, "bins", tuple(frozen))
+        system, environment = [p for p, _ in checked], [rho for _, rho in checked]
+        _check_orthogonal(system, "type_ii: system projectors {} and {} are not orthogonal")
+        _check_orthogonal(environment, "type_ii: environment states {} and {} do not have orthogonal supports")
+        _check_resolution(system, "type_ii: system projectors")
+        object.__setattr__(self, "bins", tuple(zip(_frozen(system), _frozen(environment))))
 
     @property
     def dim_s(self) -> int:
@@ -138,21 +142,9 @@ class TypeIIIProjection:
         dim_e = checked[0].shape[0]
         if any(p.shape[0] != dim_e for p in checked):
             raise ValueError("type_iii: projectors have inconsistent dimensions")
-        for a in range(len(checked)):
-            for b in range(a + 1, len(checked)):
-                if float(np.abs(checked[a] @ checked[b]).max()) > _ORTHO_TOL:
-                    raise ValueError(f"type_iii: projectors {a} and {b} are not orthogonal")
-        completeness = float(np.abs(sum(checked) - np.eye(dim_e)).max())
-        if completeness > _ORTHO_TOL:
-            raise ValueError(
-                f"type_iii: projectors do not resolve the identity (defect {completeness:.3e})"
-            )
-        frozen = []
-        for p in checked:
-            p = p.copy()
-            p.setflags(write=False)
-            frozen.append(p)
-        object.__setattr__(self, "projectors", tuple(frozen))
+        _check_orthogonal(checked, "type_iii: projectors {} and {} are not orthogonal")
+        _check_resolution(checked, "type_iii: projectors")
+        object.__setattr__(self, "projectors", _frozen(checked))
 
     @property
     def dim_e(self) -> int:
@@ -245,13 +237,3 @@ def idempotency_defect(rho, s: Structure, spec: ProjectionSpec) -> float:
     """Trace norm of P(P rho) - P rho."""
     p1 = project(rho, s, spec)
     return trace_norm(apply_projection(p1, s, spec) - p1)
-
-
-def reference_matches_environment(rho, s: Structure, spec: TypeIProjection) -> bool:
-    """Diagnostic: does a type_i reference coincide with the state's actual
-    reduced environment?  (Then the product of the reductions is a fixed
-    point of the projection.)"""
-    if not isinstance(spec, TypeIProjection):
-        raise ValueError("reference diagnostic applies to type_i specs only")
-    check_compatible(s, spec)
-    return trace_norm(spec.rho_ref - reduced_state(rho, s, "E")) <= 1e-10

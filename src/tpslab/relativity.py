@@ -51,7 +51,6 @@ class DefectReport:
 
     defect_matrix: np.ndarray
     trace_norm_defect: float
-    frobenius_defect: float
     trace_residual: float
 
 
@@ -64,7 +63,6 @@ def _checked_report(d: np.ndarray, context: str) -> DefectReport:
     return DefectReport(
         defect_matrix=d,
         trace_norm_defect=trace_norm(d),
-        frobenius_defect=float(np.linalg.norm(d)),
         trace_residual=residual,
     )
 
@@ -214,10 +212,6 @@ class SeparableEnsemble:
     @property
     def dim_e(self) -> int:
         return self.environment_factors[0].shape[0]
-
-    @property
-    def n_terms(self) -> int:
-        return int(self.weights.size)
 
     def reduced_system(self) -> np.ndarray:
         """Environment-traced mixture, in split coordinates."""

@@ -19,9 +19,11 @@ state, drawn as its eigen-ensemble, with ``check_ensemble``; the alternate
 structure with its unitarity check; both structure/spec pairs with
 ``check_compatible``.  It then works in structure A's product basis with
 trusted kernels: B's basis enters as the transition matrix from B to A, and
-every defect keeps its trace-residual check.  The public functions
-(``cross_relevance_matrix``, ``commutator_defect``) give the same rows to
-roundoff and serve as the tests' oracle.
+every defect, and ``lemma2-sweep``'s idempotency residual
+||P_A(P_A rho) - P_A rho||_1, keeps its trace-residual check.  The public
+functions (``cross_relevance_matrix``, ``commutator_defect``,
+``idempotency_defect``) give the same rows to roundoff and serve as the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .projections import (
     relevance_defect,
 )
 from .relativity import (
+    TRACE_RESIDUAL_TOL,
     _checked_report,
     _split_entropies,
     bell_pair,
@@ -164,8 +167,8 @@ def _descending(values: np.ndarray) -> list[float]:
 
 
 def _teleport_check(cfg: ScenarioConfig):
-    s_a = structure_from_grouping(cfg.layout, (0,), label="1|(2,3)")
-    s_b = structure_from_grouping(cfg.layout, (0, 1), label="(1,2)|3")
+    s_a = structure_from_grouping(cfg.layout, (0,))
+    s_b = structure_from_grouping(cfg.layout, (0, 1))
     phi = bell_pair()
     spec_a = TypeIProjection(np.outer(phi, phi.conj()))
     spec_b = TypeIProjection(maximally_mixed(2))
@@ -303,11 +306,9 @@ def _map_trials(trial_fn, cfg: ScenarioConfig, workers: int | None = None) -> li
         set_threads(threads)
 
 
-def _haar_structure(stream: RandomStream, s_a: Structure, trial: int) -> Structure:
+def _haar_structure(stream: RandomStream, s_a: Structure) -> Structure:
     """The trial's alternate split: a Haar unitary with ``s_a``'s factor dims."""
-    return structure_from_unitary(
-        stream.haar_unitary(s_a.total_dim), s_a.dim_s, s_a.dim_e, label=f"haar-{trial}"
-    )
+    return structure_from_unitary(stream.haar_unitary(s_a.total_dim), s_a.dim_s, s_a.dim_e)
 
 
 def _lemma_trial_inputs(
@@ -335,7 +336,7 @@ def _lemma_trial_inputs(
     else:
         kind, (weights, vectors) = "mixed", stream.ginibre_ensemble(dim, min(2, dim))
     weights, vectors = check_ensemble(weights, vectors, name="rho")
-    s_b = _haar_structure(stream, s_a, trial)
+    s_b = _haar_structure(stream, s_a)
     check_compatible(s_a, cfg.projection_a)
     check_compatible(s_b, cfg.projection_a)
     v = transition_matrix(s_b, s_a)
@@ -401,10 +402,11 @@ def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
     p_b_rho = v @ _project_in_basis(rho_b, s_b, spec) @ vh
     p_b_p_a_rho = v @ _project_in_basis(vh @ p_a_rho @ v, s_b, spec) @ vh
     defect = trace_norm(_project_in_basis(p_b_rho, s_a, spec) - p_b_p_a_rho)
-    # the same-spec control: P_A P_A rho formed twice and subtracted, zero
-    # unless the kernel is not deterministic; making it meaningful changes
-    # the report schema
-    control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - _project_in_basis(p_a_rho, s_a, spec))
+    # the same-spec control: P_A is idempotent, so P_A(P_A rho) - P_A rho
+    # stays at roundoff
+    control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - p_a_rho)
+    if control > TRACE_RESIDUAL_TOL:
+        raise InvariantViolation(f"lemma2-sweep: idempotency residual {control:.3e} exceeds {TRACE_RESIDUAL_TOL:.0e}")
     return [trial, kind, defect, control]
 
 
@@ -431,7 +433,7 @@ def _qcr_trial(cfg: ScenarioConfig, trial: int) -> list:
     rho_s = stream.ginibre_density(s_a.dim_s, s_a.dim_s)
     rho_e = stream.ginibre_density(s_a.dim_e, s_a.dim_e)
     rho = from_structure_basis(kron(rho_s, rho_e), s_a)
-    s_b = _haar_structure(stream, s_a, trial)
+    s_b = _haar_structure(stream, s_a)
     rho, spectrum = _checked_spectrum(rho)
     entropy = _spectral_entropy(spectrum)
     row: list = [trial]

@@ -87,7 +87,6 @@ class Structure:
     dim_s: int
     dim_e: int
     basis: np.ndarray
-    label: str = ""
     grouping: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self):
@@ -148,12 +147,12 @@ def _index_map_of(w: np.ndarray) -> np.ndarray | None:
     return np.argmax(ones, axis=0)
 
 
-def identity_structure(dim_s: int, dim_e: int, label: str = "reference") -> Structure:
+def identity_structure(dim_s: int, dim_e: int) -> Structure:
     """The reference split itself: the identity index map with the given factor dims."""
-    return Structure(dim_s, dim_e, np.arange(dim_s * dim_e), label)
+    return Structure(dim_s, dim_e, np.arange(dim_s * dim_e))
 
 
-def structure_from_grouping(layout: FactorLayout, s_indices, label: str | None = None) -> Structure:
+def structure_from_grouping(layout: FactorLayout, s_indices) -> Structure:
     """Permutation structure grouping the selected factors as the system.
 
     Selected factors keep their relative order and come first; the remaining
@@ -169,10 +168,8 @@ def structure_from_grouping(layout: FactorLayout, s_indices, label: str | None =
         raise ValueError("grouping: system factors must be a nonempty proper subset")
     total = layout.total_dim
     dim_s = math.prod(layout.dims[i] for i in selected)
-    if label is None:
-        label = "S=" + ",".join(str(i) for i in selected)
     index_map = _grouping_index_map(layout.dims, selected)
-    return Structure(dim_s, total // dim_s, index_map, label, grouping=(layout.dims, selected))
+    return Structure(dim_s, total // dim_s, index_map, grouping=(layout.dims, selected))
 
 
 def _grouping_index_map(dims: tuple[int, ...], selected: tuple[int, ...]) -> np.ndarray:
@@ -182,9 +179,9 @@ def _grouping_index_map(dims: tuple[int, ...], selected: tuple[int, ...]) -> np.
     return np.arange(math.prod(dims)).reshape(dims).transpose(order).reshape(-1)
 
 
-def structure_from_unitary(w, dim_s: int, dim_e: int, label: str = "") -> Structure:
+def structure_from_unitary(w, dim_s: int, dim_e: int) -> Structure:
     """Structure from an explicit global basis-change unitary."""
-    return Structure(dim_s, dim_e, w, label)
+    return Structure(dim_s, dim_e, w)
 
 
 def _check_total_dim(m: np.ndarray, s: Structure, name: str) -> None:
@@ -313,7 +310,7 @@ def read_matrix_file(path) -> tuple[np.ndarray, int]:
     return m, int(split_dim)
 
 
-def read_structure_file(path, label: str = "") -> Structure:
+def read_structure_file(path) -> Structure:
     """Read a structure unitary from a TPSW1 file (split dim from the header)."""
     m, split_dim = read_matrix_file(path)
     dim = m.shape[0]
@@ -321,4 +318,4 @@ def read_structure_file(path, label: str = "") -> Structure:
         raise ValueError(
             f"{path}: split dim {split_dim} does not define a proper bipartition of dim {dim}"
         )
-    return structure_from_unitary(m, split_dim, dim // split_dim, label=label or str(path))
+    return structure_from_unitary(m, split_dim, dim // split_dim)

@@ -27,9 +27,7 @@ def random_pure_density(dim: int, seed: int, trial: int = 0) -> np.ndarray:
 
 
 def haar_structure(total: int, dim_s: int, seed: int, trial: int = 0):
-    return structure_from_unitary(
-        stream(seed, trial).haar_unitary(total), dim_s, total // dim_s, label=f"haar-{seed}-{trial}"
-    )
+    return structure_from_unitary(stream(seed, trial).haar_unitary(total), dim_s, total // dim_s)
 
 
 def max_mixed_spec(dim_e: int) -> TypeIProjection:
@@ -41,8 +39,8 @@ def teleport_setup(u=None):
     if u is None:
         u = np.array([1.0, 0.0], dtype=np.complex128)
     layout = FactorLayout((2, 2, 2))
-    s_a = structure_from_grouping(layout, (0,), label="1|(2,3)")
-    s_b = structure_from_grouping(layout, (0, 1), label="(1,2)|3")
+    s_a = structure_from_grouping(layout, (0,))
+    s_b = structure_from_grouping(layout, (0, 1))
     psi = teleport_state(u)
     rho = np.outer(psi, psi.conj())
     return layout, s_a, s_b, psi, rho

@@ -89,3 +89,32 @@ def test_out_of_memory_is_exit_3(tmp_path, capsys):
     assert error["error"] == "memory"
     assert "PiB" in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        ([], "required: command"),
+        (["run"], "required: config"),
+        (["frobnicate", "config.json"], "invalid choice"),
+        (["run", "config.json", "--seed", "abc"], "invalid int value"),
+        (["validate", "config.json", "--bogus"], "unrecognized arguments"),
+    ],
+    ids=["no-command", "run-without-config", "unknown-command", "non-integer-seed", "unknown-flag"],
+)
+def test_usage_error_is_one_json_line_and_exit_1(capsys, argv, fragment):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "usage"
+    assert fragment in error["message"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: tpslab" in capsys.readouterr().out

@@ -20,7 +20,7 @@ from tpslab import (
     computational_type_iii,
     cross_relevance_matrix,
     dynamics,
-    evolve,
+    eigh,
     from_structure_basis,
     identity_structure,
     kron,
@@ -31,6 +31,7 @@ from tpslab import (
     structure_from_grouping,
     trajectory,
 )
+from tpslab.linalg import _propagator_from_eigh
 from conftest import haar_structure, max_mixed_spec, stream, teleport_setup
 
 ensemble_density = dynamics._ensemble_density
@@ -38,6 +39,13 @@ ensemble_density = dynamics._ensemble_density
 
 def gue_hamiltonian(dim: int, seed: int) -> Hamiltonian:
     return Hamiltonian(RandomStream(seed).gue(dim))
+
+
+def evolve(rho0, h: Hamiltonian, t: float) -> np.ndarray:
+    """rho0 conjugated by exp(-i H t), through the propagator kernel that
+    the dense trajectory route runs."""
+    u = _propagator_from_eigh(*eigh(h.mat), t)
+    return u @ rho0 @ u.conj().T
 
 
 class TestMixSeed:
@@ -140,6 +148,13 @@ class TestHamiltonian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stores_the_hermitian_part_read_only(self):
+        m = stream(143).gue(4) + 1e-13j * np.triu(np.ones((4, 4)))
+        h = Hamiltonian(m)
+        np.testing.assert_array_equal(h.mat, (m + m.conj().T) / 2)
+        np.testing.assert_array_equal(h.mat, h.mat.conj().T)
+        assert not h.mat.flags.writeable
 
 
 class TestEvolve:

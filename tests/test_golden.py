@@ -7,7 +7,8 @@ must match exactly.  Floats must satisfy
 values of magnitude 1 or more, and the same bound taken absolutely below
 that, so that round-off residuals near zero are not compared digit by digit.
 The ``output_dir`` echo is not compared, since each run writes to its own
-directory.
+directory.  Each config's ``validate`` echo is a fixed point: validating it
+prints it unchanged, and running it writes the original's report bytes.
 
 To regenerate a golden report after an intended change of the numbers, run
 ``PYTHONPATH=../../../src python -m tpslab.cli run config.json`` inside its
@@ -17,6 +18,7 @@ directory and move ``out/summary.json`` and ``out/series.csv`` up one level.
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,11 @@ INT_NAMES = {"trial", "trials", "points", "version", "base_seed", "seed", "rank"
 
 
 def run(case: str, out: Path) -> Path:
-    assert main(["run", str(GOLDEN / case / "config.json"), "--output-dir", str(out)]) == 0
+    return run_config(GOLDEN / case / "config.json", out)
+
+
+def run_config(config: Path, out: Path) -> Path:
+    assert main(["run", str(config), "--output-dir", str(out)]) == 0
     return out
 
 
@@ -127,3 +133,24 @@ def test_two_runs_give_byte_identical_series(tmp_path, case):
     first = run(case, tmp_path / "first") / "series.csv"
     second = run(case, tmp_path / "second") / "series.csv"
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_validate_echo_is_a_fixed_point(tmp_path, capsys, case):
+    # the echo is written next to a copy of the config, so that file paths
+    # in it resolve as they do for the original
+    case_dir = shutil.copytree(GOLDEN / case, tmp_path / case)
+    config, echo = case_dir / "config.json", case_dir / "echo.json"
+    assert main(["validate", str(config)]) == 0
+    echo_text = capsys.readouterr().out
+    echo.write_text(echo_text, encoding="utf-8")
+    assert main(["validate", str(echo)]) == 0
+    assert capsys.readouterr().out == echo_text
+
+    out = tmp_path / "out"
+    reports = []
+    for path in (config, echo):
+        run_path = run_config(path, out)
+        reports.append([(run_path / name).read_bytes() for name in ("summary.json", "series.csv")])
+        shutil.rmtree(out)
+    assert reports[0] == reports[1]

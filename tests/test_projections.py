@@ -13,7 +13,6 @@ from tpslab import (
     kron,
     maximally_mixed,
     project,
-    reference_matches_environment,
     relevance_defect,
     schmidt,
     trace_norm,
@@ -61,7 +60,6 @@ class TestTypeI:
         phi = bell_pair()
         spec = TypeIProjection(np.outer(phi, phi.conj()))
         np.testing.assert_allclose(project(rho, s_a, spec), rho, atol=1e-12)
-        assert reference_matches_environment(rho, s_a, spec)
 
     def test_bell_state_with_ground_reference(self):
         s = identity_structure(2, 2)
@@ -204,6 +202,24 @@ class TestConstructorValidation:
         rho = maximally_mixed(2)
         with pytest.raises(ValueError, match="orthogonal supports"):
             TypeIIProjection(((p0, rho), (p1, rho)))
+
+    def test_type_ii_non_orthogonal_system_projectors(self):
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        rho0, rho1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(ValueError, match="system projectors 0 and 1 are not orthogonal"):
+            TypeIIProjection(((p0, rho0), (plus, rho1)))
+
+    def test_type_iii_non_orthogonal(self):
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(ValueError, match="projectors 0 and 1 are not orthogonal"):
+            TypeIIIProjection((p0, plus))
+
+    def test_validated_families_are_read_only(self):
+        spec_ii, spec_iii = random_type_ii(2, 2, 71), random_type_iii(2, 72)
+        for m in (*spec_ii.bins[0], *spec_iii.projectors):
+            assert not m.flags.writeable
 
     def test_type_iii_not_rank_one(self):
         with pytest.raises(ValueError, match="rank-1"):

@@ -18,6 +18,7 @@ from tpslab import (
     RandomStream,
     commutator_defect,
     cross_relevance_matrix,
+    idempotency_defect,
     load_config,
     mix_seed,
     relativity,
@@ -58,12 +59,18 @@ def run_sweep(tmp_path, scenario: str, name: str) -> int:
 
 
 GINIBRE_ENSEMBLE = RandomStream.ginibre_ensemble
+PROJECT_IN_BASIS = scenarios._project_in_basis
 
 
 def skewed_ensemble(self, dim, rank):
     """A Ginibre ensemble whose vectors are 0.1% too long."""
     weights, vectors = GINIBRE_ENSEMBLE(self, dim, rank)
     return weights, vectors * 1.001
+
+
+def non_idempotent_projection(m, s, spec):
+    """The projection kernel with its output scaled by 1 + 1e-7."""
+    return PROJECT_IN_BASIS(m, s, spec) * (1 + 1e-7)
 
 
 def blas_threads_trial(cfg, trial):
@@ -144,6 +151,22 @@ def test_failed_run_time_validation_exits_2(tmp_path, monkeypatch, capsys, scena
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=needs_pool)], ids=["in-process", "worker"]
+)
+def test_non_idempotent_projection_fails_the_same_spec_control(tmp_path, monkeypatch, capsys, workers):
+    # fork hands the patched kernel to the workers
+    monkeypatch.setattr(scenarios, "_project_in_basis", non_idempotent_projection)
+    use_workers(monkeypatch, workers)
+    assert run_sweep(tmp_path, "lemma2-sweep", "out") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "invariant"
+    assert "idempotency residual" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 # (layout, system factors of the grouping A): a square and a non-square split
 ORACLE_LAYOUTS = {"2222": ([2, 2, 2, 2], [0, 1]), "232": ([2, 3, 2], [0, 2])}
 # structure A as a grouping, a permutation file (an index map without a
@@ -205,7 +228,7 @@ def public_route_rows(cfg, trial: int) -> tuple[list, list]:
         trial,
         kind,
         commutator_defect(rho, s_a, spec, s_b, spec),
-        commutator_defect(rho, s_a, spec, s_a, spec),
+        idempotency_defect(rho, s_a, spec),
     ]
     return lemma1, lemma2
 
