@@ -26,21 +26,14 @@ from .linalg import (
     _checked_spectrum,
     _orthonormality_defect,
     _phases,
-    _propagator_from_eigh,
     _spectral_entropy,
     check_ensemble,
     purity,
     require_hermitian,
 )
-from .projections import ProjectionSpec, TypeIProjection, _project_in_basis, check_compatible
-from .relativity import (
-    DefectReport,
-    _checked_report,
-    _commutator_defect,
-    _reduce_complement,
-    _split_entropies,
-)
-from .structures import Structure, from_structure_basis, to_structure_basis
+from .projections import ProjectionSpec, TypeIProjection, check_compatible
+from .relativity import DefectReport, _checked_report, _lemma1_in_basis, _lemma2_in_basis
+from .structures import Structure, _reduce, transition_matrix, vector_to_structure_basis
 
 GENERATOR_NAME = "pcg64+splitmix64+box-muller:v1"
 
@@ -218,30 +211,26 @@ def trajectory(
     vectors)``: rho_0 = sum_k weights[k] |psi_k><psi_k|, with psi_k the k-th
     column of ``vectors``.  The ensemble and both structure/spec pairs are
     validated here, once; the ensemble needs positive weights summing to 1
-    and orthonormal vectors.  Propagation uses a single eigendecomposition
-    H = V diag(w) V^H of the validated :class:`Hamiltonian` matrix at
-    absolute times, so the points are independent of grid refinement and the
-    endpoint matches a one-shot propagation.  Both reduced trajectories come
-    from the same total state; no projection feeds back into the dynamics.  The commutator
-    defect is recorded as NaN unless both specs are type_i (its defined
-    scope).
+    and orthonormal vectors.  There is one propagation: from a single
+    eigendecomposition H = V diag(w) V^H of the validated
+    :class:`Hamiltonian` matrix, the vectors evolve as
+    psi_k(t) = V (exp(-i w t) * V^H psi_k) at absolute times, so the points
+    are independent of grid refinement and the endpoint matches a one-shot
+    propagation.  At each time the evolved vectors must stay orthonormal,
+    else :class:`InvariantViolation`; then rho_t has the weights as its
+    spectrum, and S(rho_t) is their entropy.  Both reduced trajectories come
+    from the same state; no projection feeds back into the dynamics.  The
+    commutator defect is recorded as NaN unless both specs are type_i (its
+    defined scope).
 
-    Two routes give the same values to roundoff:
+    Per pair, the columns come from one of two kernels, each validating
+    every reduction once and agreeing with the public functions to roundoff:
 
-    * Two factor groupings of one layout with type_i specs (the pairs that
-      ``dynamics-trace`` configs build) never form a d x d state.  The
-      vectors propagate as psi_k(t) = V (exp(-i w t) * V^H psi_k), and every
-      column comes from their factor tensors; S(rho_t) is the entropy of the
-      weights, and the commutator defect is the state-independent closed
-      form of :class:`_GroupingPair`, computed once.  At each time the
-      evolved vectors must stay orthonormal, else :class:`InvariantViolation`;
-      each reduction is validated once, and its spectrum gives its entropy.
-    * Every other pair forms rho_0 once and conjugates it by exp(-i H t) at
-      each time.  The evolved state is validated once per time and its
-      spectrum gives S(rho_t); each structure changes basis once and yields
-      both reductions and the single projection, which serves both the
-      complement and the commutator.  The values equal those of the public
-      functions called one by one.
+    * two groupings of one layout with type_i specs (the pairs that
+      ``dynamics-trace`` configs build): the closed forms of
+      :class:`_GroupingPair` on the vectors' factor tensors;
+    * every other pair: the A-basis Lemma 1 and Lemma 2 kernels of
+      :mod:`relativity`, which the lemma sweeps run too (:class:`_BasisPair`).
     """
     weights, vectors = check_ensemble(*state)
     if not (vectors.shape[0] == h.dim == s_a.total_dim == s_b.total_dim):
@@ -258,8 +247,9 @@ def trajectory(
         and s_a.grouping[0] == s_b.grouping[0]
     ):
         pair = _GroupingPair(s_a.grouping, spec_a.rho_ref, s_b.grouping, spec_b.rho_ref)
-        return _ensemble_points(weights, vectors, w, v, times, pair)
-    return _dense_points(_ensemble_density(weights, vectors), w, v, times, s_a, spec_a, s_b, spec_b)
+    else:
+        pair = _BasisPair(s_a, spec_a, s_b, spec_b)
+    return _ensemble_points(weights, vectors, w, v, times, pair)
 
 
 def _ensemble_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -365,16 +355,50 @@ def _cross_defect(blocks_to: np.ndarray, red_from: np.ndarray, ref_blocks: np.nd
     """Lemma 1 defect Tr_E'(rho - rho_S (x) R) of one grouping against the
     other.  ``blocks_to`` are the state's E'-diagonal blocks over the other
     grouping's S' = (a, g), E' = (h, e); ``red_from`` is rho_S on (a, h),
-    and ``ref_blocks`` the e-diagonal blocks (g, g, e) of R.  Like the dense
-    route, the complement's E'-diagonal blocks are formed and subtracted
-    before they are summed."""
+    and ``ref_blocks`` the e-diagonal blocks (g, g, e) of R.  Like
+    :func:`cross_relevance_matrix`, the complement's E'-diagonal blocks are
+    formed and subtracted before they are summed."""
     dh = red_from.shape[0] // da
     red_blocks = np.einsum("xhyh->xyh", red_from.reshape(da, dh, da, dh))
     complement = blocks_to - np.einsum("xyh,uve->xuyvhe", red_blocks, ref_blocks).reshape(blocks_to.shape)
     return _checked_report(complement.sum(axis=-1), "cross_relevance_matrix")
 
 
-def _ensemble_points(weights, vectors, w, v, times, pair: _GroupingPair) -> tuple[TrajectoryPoint, ...]:
+class _BasisPair:
+    """Any two structures with any specs.  At each time the weighted
+    vectors change to A's product basis and, through
+    ``v = transition_matrix(s_b, s_a)``, to B's; the state formed in each
+    basis feeds the Lemma 1 and Lemma 2 kernels that the lemma sweeps run."""
+
+    def __init__(self, s_a, spec_a, s_b, spec_b):
+        self.pair = (s_a, spec_a, s_b, spec_b)
+        self.v = transition_matrix(s_b, s_a)
+        self.both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
+
+    def point(self, t: float, y: np.ndarray, entropy_total: float) -> TrajectoryPoint:
+        """The columns at time ``t``, as :meth:`_GroupingPair.point`."""
+        s_a, _, s_b, _ = self.pair
+        y_a = vector_to_structure_basis(y, s_a)
+        y_b = self.v.conj().T @ y_a
+        rho_a, rho_b = y_a @ y_a.conj().T, y_b @ y_b.conj().T
+        rep_ab, rep_ba, _ = _lemma1_in_basis(rho_a, rho_b, self.v, *self.pair)
+        lemma2 = _lemma2_in_basis(rho_a, rho_b, self.v, *self.pair)[0] if self.both_type_i else math.nan
+        red_s, red_sp = _reduce(rho_a, s_a, "S"), _reduce(rho_b, s_b, "S")
+        r = y.shape[1]
+        return TrajectoryPoint(
+            t=float(t),
+            lemma1_a_to_b=rep_ab.trace_norm_defect,
+            lemma1_b_to_a=rep_ba.trace_norm_defect,
+            lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
+            lemma2_defect=lemma2,
+            mi_a=_mutual_information(y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), red_s, entropy_total),
+            mi_b=_mutual_information(y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), red_sp, entropy_total),
+            purity_s=purity(red_s),
+            purity_sprime=purity(red_sp),
+        )
+
+
+def _ensemble_points(weights, vectors, w, v, times, pair: _GroupingPair | _BasisPair) -> tuple[TrajectoryPoint, ...]:
     coeffs = v.conj().T @ vectors
     entropy_total = _spectral_entropy(weights)
     scale = np.sqrt(weights)
@@ -389,49 +413,3 @@ def _ensemble_points(weights, vectors, w, v, times, pair: _GroupingPair) -> tupl
             )
         points.append(pair.point(t, psi_t * scale, entropy_total))
     return tuple(points)
-
-
-def _dense_points(rho0, w, v, times, s_a, spec_a, s_b, spec_b) -> tuple[TrajectoryPoint, ...]:
-    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
-    points = []
-    for t in times:
-        # full-dimension temporaries are dropped as soon as they are used, so
-        # at most a few d x d arrays are alive at once
-        u = _propagator_from_eigh(w, v, t)
-        rho_t = u @ rho0 @ u.conj().T
-        del u
-        rho_t = (rho_t + rho_t.conj().T) / 2
-        entropy_t = _spectral_entropy(_checked_spectrum(rho_t)[1])
-        red_s, mi_a, p_a_rho = _split_data(rho_t, s_a, spec_a, entropy_t)
-        red_sp, mi_b, p_b_rho = _split_data(rho_t, s_b, spec_b, entropy_t)
-        rep_ab = _reduce_complement(rho_t - p_a_rho, s_b)
-        rep_ba = _reduce_complement(rho_t - p_b_rho, s_a)
-        defect2 = (
-            _commutator_defect(p_a_rho, p_b_rho, s_a, spec_a, s_b, spec_b) if both_type_i else math.nan
-        )
-        del rho_t, p_a_rho, p_b_rho
-        points.append(
-            TrajectoryPoint(
-                t=float(t),
-                lemma1_a_to_b=rep_ab.trace_norm_defect,
-                lemma1_b_to_a=rep_ba.trace_norm_defect,
-                lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
-                lemma2_defect=defect2,
-                mi_a=mi_a,
-                mi_b=mi_b,
-                purity_s=purity(red_s),
-                purity_sprime=purity(red_sp),
-            )
-        )
-    return tuple(points)
-
-
-def _split_data(
-    rho: np.ndarray, s: Structure, spec: ProjectionSpec, entropy_total: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """System reduction, mutual information and projection ``P rho`` of a
-    validated state for one structure, from a single change of basis."""
-    m = to_structure_basis(rho, s)
-    red_s, entropy_s, entropy_e = _split_entropies(m, s)
-    p_rho = from_structure_basis(_project_in_basis(m, s, spec), s)
-    return red_s, entropy_s + entropy_e - entropy_total, p_rho

@@ -182,11 +182,6 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * w * float(t))
 
 
-def _propagator_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) from the eigendata ``(w, v)`` of :func:`eigh`."""
-    return (v * _phases(w, t)) @ v.conj().T
-
-
 def trace_norm(m) -> float:
     """Sum of singular values.
 

@@ -27,7 +27,7 @@ from .linalg import (
     schmidt,
     trace_norm,
 )
-from .projections import ProjectionSpec, TypeIProjection, _complement, apply_projection, check_compatible
+from .projections import ProjectionSpec, TypeIProjection, _complement, _project_in_basis, apply_projection, check_compatible
 from .structures import (
     Structure,
     _check_total_dim,
@@ -80,13 +80,24 @@ def cross_relevance_matrix(
     """
     rho = check_density_matrix(rho)
     check_compatible(s_from, spec)
-    return _reduce_complement(_complement(rho, s_from, spec), s_to)
+    q = to_structure_basis(_complement(rho, s_from, spec), s_to)
+    return _checked_report(_reduce(q, s_to, "S"), "cross_relevance_matrix")
 
 
-def _reduce_complement(q: np.ndarray, s_to: Structure) -> DefectReport:
-    """Trusted kernel of :func:`cross_relevance_matrix`: reduce an already
-    formed complement over ``s_to``'s environment and check its trace."""
-    return _checked_report(_reduce(to_structure_basis(q, s_to), s_to, "S"), "cross_relevance_matrix")
+def _lemma1_in_basis(rho_a, rho_b, v, s_a, spec_a, s_b, spec_b) -> tuple[DefectReport, DefectReport, np.ndarray]:
+    """Trusted kernel of both directions of :func:`cross_relevance_matrix`
+    for one state, given as ``rho_a`` in A's product basis and ``rho_b`` in
+    B's, with ``v = transition_matrix(s_b, s_a)``: operators change from A's
+    to B's basis as ``v^H x v`` and back as ``v x v^H``.  Returns the A->B
+    and B->A reports and the complement q_A in A's basis."""
+    vh = v.conj().T
+    # each complement is formed in its own structure's basis and changed to
+    # the other's before it is reduced
+    q_a = rho_a - _project_in_basis(rho_a, s_a, spec_a)
+    q_b = rho_b - _project_in_basis(rho_b, s_b, spec_b)
+    rep_ab = _checked_report(_reduce(vh @ q_a @ v, s_b, "S"), "cross_relevance_matrix A->B")
+    rep_ba = _checked_report(_reduce(v @ q_b @ vh, s_a, "S"), "cross_relevance_matrix B->A")
+    return rep_ab, rep_ba, q_a
 
 
 def defect_matrix_pure_coeffs(
@@ -296,25 +307,21 @@ def commutator_defect(
     rho = check_density_matrix(rho)
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
-    return _commutator_defect(
-        apply_projection(rho, s_a, spec_a), apply_projection(rho, s_b, spec_b), s_a, spec_a, s_b, spec_b
-    )
-
-
-def _commutator_defect(
-    p_a_rho: np.ndarray,
-    p_b_rho: np.ndarray,
-    s_a: Structure,
-    spec_a: ProjectionSpec,
-    s_b: Structure,
-    spec_b: ProjectionSpec,
-) -> float:
-    """Trusted kernel of :func:`commutator_defect`: the trace norm of
-    ``P_A P_B rho - P_B P_A rho`` from the single projections ``P_A rho``
-    and ``P_B rho``."""
-    comm = apply_projection(p_b_rho, s_a, spec_a)
-    comm -= apply_projection(p_a_rho, s_b, spec_b)
+    comm = apply_projection(apply_projection(rho, s_b, spec_b), s_a, spec_a)
+    comm -= apply_projection(apply_projection(rho, s_a, spec_a), s_b, spec_b)
     return trace_norm(comm)
+
+
+def _lemma2_in_basis(rho_a, rho_b, v, s_a, spec_a, s_b, spec_b) -> tuple[float, np.ndarray]:
+    """Trusted kernel of :func:`commutator_defect` on the inputs of
+    :func:`_lemma1_in_basis`.  Returns the trace norm of
+    ``P_A P_B rho - P_B P_A rho`` and P_A rho, both in A's basis."""
+    vh = v.conj().T
+    # every term is in A's coordinates; P_B acts in B's basis
+    p_a_rho = _project_in_basis(rho_a, s_a, spec_a)
+    p_b_rho = v @ _project_in_basis(rho_b, s_b, spec_b) @ vh
+    p_b_p_a_rho = v @ _project_in_basis(vh @ p_a_rho @ v, s_b, spec_b) @ vh
+    return trace_norm(_project_in_basis(p_b_rho, s_a, spec_a) - p_b_p_a_rho), p_a_rho
 
 
 def mutual_information(rho, s: Structure) -> float:

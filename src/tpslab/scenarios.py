@@ -18,9 +18,12 @@ A ``lemma1-sweep`` or ``lemma2-sweep`` trial validates its inputs once: the
 state, drawn as its eigen-ensemble, with ``check_ensemble``; the alternate
 structure with its unitarity check; both structure/spec pairs with
 ``check_compatible``.  It then works in structure A's product basis with
-trusted kernels: B's basis enters as the transition matrix from B to A, and
-every defect, and ``lemma2-sweep``'s idempotency residual
-||P_A(P_A rho) - P_A rho||_1, keeps its trace-residual check.  The public
+the trusted kernels ``relativity._lemma1_in_basis`` and
+``_lemma2_in_basis``, which ``trajectory`` runs too, passing A's spec for
+both structures: B's basis enters as the transition matrix from B to A.
+The trial adds the same-structure defect (``lemma1-sweep``) and the
+idempotency residual ||P_A(P_A rho) - P_A rho||_1 (``lemma2-sweep``);
+every defect and the residual keep their trace-residual checks.  The public
 functions (``cross_relevance_matrix``, ``commutator_defect``,
 ``idempotency_defect``) give the same rows to roundoff and serve as the
 tests' oracle.
@@ -59,6 +62,8 @@ from .projections import (
 from .relativity import (
     TRACE_RESIDUAL_TOL,
     _checked_report,
+    _lemma1_in_basis,
+    _lemma2_in_basis,
     _split_entropies,
     bell_pair,
     commutator_defect,
@@ -349,13 +354,7 @@ def _lemma_trial_inputs(
 def _lemma1_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a, spec = cfg.structure_a, cfg.projection_a
     kind, rho_a, rho_b, v, s_b = _lemma_trial_inputs(cfg, trial)
-    vh = v.conj().T
-    # each complement is formed in its own structure's basis and changed to
-    # the other's before it is reduced
-    q_a = rho_a - _project_in_basis(rho_a, s_a, spec)
-    q_b = rho_b - _project_in_basis(rho_b, s_b, spec)
-    rep_ab = _checked_report(_reduce(vh @ q_a @ v, s_b, "S"), "lemma1-sweep A->B")
-    rep_ba = _checked_report(_reduce(v @ q_b @ vh, s_a, "S"), "lemma1-sweep B->A")
+    rep_ab, rep_ba, q_a = _lemma1_in_basis(rho_a, rho_b, v, s_a, spec, s_b, spec)
     rep_aa = _checked_report(_reduce(q_a, s_a, "S"), "lemma1-sweep A->A")
     return [
         trial,
@@ -396,12 +395,7 @@ def _lemma1_sweep(cfg: ScenarioConfig):
 def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a, spec = cfg.structure_a, cfg.projection_a
     kind, rho_a, rho_b, v, s_b = _lemma_trial_inputs(cfg, trial)
-    vh = v.conj().T
-    # every term is in A's coordinates; P_B acts in B's basis
-    p_a_rho = _project_in_basis(rho_a, s_a, spec)
-    p_b_rho = v @ _project_in_basis(rho_b, s_b, spec) @ vh
-    p_b_p_a_rho = v @ _project_in_basis(vh @ p_a_rho @ v, s_b, spec) @ vh
-    defect = trace_norm(_project_in_basis(p_b_rho, s_a, spec) - p_b_p_a_rho)
+    defect, p_a_rho = _lemma2_in_basis(rho_a, rho_b, v, s_a, spec, s_b, spec)
     # the same-spec control: P_A is idempotent, so P_A(P_A rho) - P_A rho
     # stays at roundoff
     control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - p_a_rho)

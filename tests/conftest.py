@@ -9,6 +9,7 @@ from tpslab import (
     RandomStream,
     TypeIProjection,
     bell_pair,
+    eigh,
     maximally_mixed,
     mix_seed,
     structure_from_grouping,
@@ -28,6 +29,12 @@ def random_pure_density(dim: int, seed: int, trial: int = 0) -> np.ndarray:
 
 def haar_structure(total: int, dim_s: int, seed: int, trial: int = 0):
     return structure_from_unitary(stream(seed, trial).haar_unitary(total), dim_s, total // dim_s)
+
+
+def propagator(h, t: float) -> np.ndarray:
+    """exp(-i h t) from the Hermitian eigendecomposition h = V diag(w) V^H."""
+    w, v = eigh(h)
+    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
 def max_mixed_spec(dim_e: int) -> TypeIProjection:

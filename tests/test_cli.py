@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +122,37 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: tpslab" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_process(args, cwd):
+    """``python -m tpslab.cli`` in a new process, importing the package from
+    ``src``: the module's ``__main__`` guard calls ``entry()``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "tpslab.cli", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_process_entry_runs_a_golden_config(tmp_path):
+    out = tmp_path / "out"
+    proc = run_process(["run", str(GOLDEN / "dynamics-unitary" / "config.json"), "--output-dir", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [f"summary: {out / 'summary.json'}", f"series: {out / 'series.csv'}"]
+    assert (out / "series.csv").is_file()
+
+
+def test_process_entry_rejects_a_bad_config_with_one_json_line(tmp_path):
+    config = tmp_path / "dyn.json"
+    config.write_text(DYNAMICS_CONFIG % "NaN", encoding="utf-8")
+    proc = run_process(["run", str(config), "--output-dir", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()

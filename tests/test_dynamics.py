@@ -20,7 +20,6 @@ from tpslab import (
     computational_type_iii,
     cross_relevance_matrix,
     dynamics,
-    eigh,
     from_structure_basis,
     identity_structure,
     kron,
@@ -29,10 +28,10 @@ from tpslab import (
     purity,
     reduced_state,
     structure_from_grouping,
+    structure_from_unitary,
     trajectory,
 )
-from tpslab.linalg import _propagator_from_eigh
-from conftest import haar_structure, max_mixed_spec, stream, teleport_setup
+from conftest import haar_structure, max_mixed_spec, propagator, stream, teleport_setup
 
 ensemble_density = dynamics._ensemble_density
 
@@ -42,9 +41,8 @@ def gue_hamiltonian(dim: int, seed: int) -> Hamiltonian:
 
 
 def evolve(rho0, h: Hamiltonian, t: float) -> np.ndarray:
-    """rho0 conjugated by exp(-i H t), through the propagator kernel that
-    the dense trajectory route runs."""
-    u = _propagator_from_eigh(*eigh(h.mat), t)
+    """rho0 conjugated by exp(-i H t)."""
+    u = propagator(h.mat, t)
     return u @ rho0 @ u.conj().T
 
 
@@ -325,19 +323,17 @@ def _grouping_and_haar():
 
 def assert_points_close(got, want, tol):
     """Every field equal within ``tol * max(1, |want|)``, the golden reports'
-    tolerance; ``tol == 0`` asks for bit equality."""
+    tolerance."""
     assert len(got) == len(want)
     for p, q in zip(got, want):
         for f in dataclasses.fields(TrajectoryPoint):
-            if tol == 0:
-                np.testing.assert_array_equal(getattr(p, f.name), getattr(q, f.name), err_msg=f.name)
-            else:
-                np.testing.assert_allclose(getattr(p, f.name), getattr(q, f.name), rtol=tol, atol=tol, err_msg=f.name)
+            np.testing.assert_allclose(getattr(p, f.name), getattr(q, f.name), rtol=tol, atol=tol, err_msg=f.name)
 
 
 class TestTrajectoryMatchesPublicRoute:
-    """The dense route reproduces the public functions bit for bit; the
-    grouping-pair route (nested groupings) agrees to the goldens' 1e-12."""
+    """Both trajectory kernels agree with the public functions to the
+    goldens' 1e-12: the grouping-pair closed forms (nested groupings) and
+    the A-basis lemma kernels (a type_iii spec, a Haar structure)."""
 
     @pytest.mark.parametrize("setup", [_nested_groupings, _non_nested_with_type_iii, _grouping_and_haar])
     def test_every_field_exactly_equal(self, setup):
@@ -347,7 +343,7 @@ class TestTrajectoryMatchesPublicRoute:
         grid = TimeGrid(0.0, 2.0, 5)
         got = trajectory(state, h, grid, s_a, spec_a, s_b, spec_b)
         want = public_route_points(ensemble_density(*state), h, grid, s_a, spec_a, s_b, spec_b)
-        assert_points_close(got, want, 1e-12 if setup is _nested_groupings else 0)
+        assert_points_close(got, want, 1e-12)
 
 
 LAYOUT_2322 = FactorLayout((2, 3, 2, 2))
@@ -395,16 +391,68 @@ class TestGroupingPairClosedForm:
                 assert all(p.lemma1_a_to_b <= 1e-15 for p in rec), selected
 
 
-class TestTrajectoryInvariants:
-    def setup_args(self):
-        s_a, spec_a, s_b, spec_b = _nested_groupings()
-        return gue_hamiltonian(16, 166), TimeGrid(0.0, 1.0, 2), s_a, spec_a, s_b, spec_b
+STRUCTURE_KINDS = ("grouping", "haar", "permutation")
+DIVISORS_24 = (2, 3, 4, 6, 8, 12)
 
-    def test_non_unitary_propagation_is_caught(self, monkeypatch):
+
+@st.composite
+def structures_2322(draw, kind: str):
+    """A structure of total dimension 24: a grouping of [2, 3, 2, 2], a Haar
+    structure, or a permutation matrix, which is stored as an index map
+    without a grouping."""
+    if kind == "grouping":
+        return structure_from_grouping(LAYOUT_2322, draw(st.sampled_from(GROUPINGS_2322)))
+    dim_s = draw(st.sampled_from(DIVISORS_24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "haar":
+        return haar_structure(24, dim_s, seed)
+    s = structure_from_unitary(np.eye(24)[:, np.random.default_rng(seed).permutation(24)], dim_s, 24 // dim_s)
+    assert s.basis.ndim == 1 and s.grouping is None
+    return s
+
+
+class TestBasisPairRoute:
+    """The A-basis kernel route, which serves every pair other than two
+    groupings with type_i specs, against the public route."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.sampled_from([k for k in itertools.product(STRUCTURE_KINDS, repeat=2) if k != ("grouping",) * 2]),
+        data=st.data(),
+        rank=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_public_route(self, kinds, data, rank, seed):
+        s_a, s_b = (data.draw(structures_2322(kind)) for kind in kinds)
+        state = stream(seed, 2).ginibre_ensemble(24, rank)
+        self.check(state, s_a, s_b, seed)
+
+    def test_maximally_mixed_state(self):
+        state = (np.full(24, 1 / 24), np.eye(24, dtype=np.complex128))
+        self.check(state, structure_from_grouping(LAYOUT_2322, (0, 2)), haar_structure(24, 6, 168), 169)
+
+    @staticmethod
+    def check(state, s_a, s_b, seed):
+        spec_a = TypeIProjection(stream(seed, 0).ginibre_density(s_a.dim_e, s_a.dim_e))
+        spec_b = TypeIProjection(stream(seed, 1).ginibre_density(s_b.dim_e, s_b.dim_e))
+        h = gue_hamiltonian(24, mix_seed(seed, 3))
+        grid = TimeGrid(0.0, 1.5, 3)
+        got = trajectory(state, h, grid, s_a, spec_a, s_b, spec_b)
+        want = public_route_points(ensemble_density(*state), h, grid, s_a, spec_a, s_b, spec_b)
+        assert_points_close(got, want, 1e-12)
+
+
+class TestTrajectoryInvariants:
+    def setup_args(self, setup=_nested_groupings):
+        return gue_hamiltonian(16, 166), TimeGrid(0.0, 1.0, 2), *setup()
+
+    # both kernels rely on the orthonormality of the evolved vectors
+    @pytest.mark.parametrize("setup", [_nested_groupings, _grouping_and_haar], ids=["groupings", "grouping-haar"])
+    def test_non_unitary_propagation_is_caught(self, monkeypatch, setup):
         phases = dynamics._phases
         monkeypatch.setattr(dynamics, "_phases", lambda w, t: (1 + 1e-7) * phases(w, t))
         with pytest.raises(InvariantViolation, match="not orthonormal"):
-            trajectory(stream(167).ginibre_ensemble(16, 2), *self.setup_args())
+            trajectory(stream(167).ginibre_ensemble(16, 2), *self.setup_args(setup))
 
     @pytest.mark.parametrize(
         "weights, vectors, fragment",

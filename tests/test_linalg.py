@@ -17,8 +17,7 @@ from tpslab import (
     trace_norm,
     von_neumann_entropy,
 )
-from tpslab.linalg import _propagator_from_eigh
-from conftest import bell_density, stream
+from conftest import bell_density, propagator, stream
 
 
 I2 = np.eye(2, dtype=complex)
@@ -121,11 +120,6 @@ class TestEigh:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             eigh(bad)
-
-
-def propagator(h, t):
-    """exp(-i h t) through the kernel the dense trajectory route runs."""
-    return _propagator_from_eigh(*eigh(h), t)
 
 
 class TestPropagator:
