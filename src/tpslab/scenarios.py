@@ -7,12 +7,16 @@ give byte-identical CSV on one platform.  Files are written to a temp path
 and atomically renamed.
 
 The trials of ``lemma1-sweep``, ``lemma2-sweep`` and ``qcr-demo`` run in
-forked worker processes, one per available CPU, each with one OpenBLAS
-thread; the rows are merged in trial order.  Each trial seeds its own
-stream and runs at one BLAS thread, in a worker or in this process, so the
-report bytes do not depend on the worker count (without numpy's bundled
-OpenBLAS, trials run in this process at its BLAS thread count).
-``teleport-check`` and ``dynamics-trace`` run in this process.
+forked worker processes, one per available CPU; the rows are merged in
+trial order.  This process drops to one OpenBLAS thread before it forks
+and restores its count after the trials, so each worker inherits one
+thread.  A worker that set the count itself would restart the thread pool
+OpenBLAS shuts down at fork, and that pool's thread spin-waits against the
+workers before it sleeps.  Each trial seeds its own stream and runs at one
+BLAS thread, in a worker or in this process, so the report bytes do not
+depend on the worker count (without numpy's bundled OpenBLAS, trials run
+in this process at its BLAS thread count).  ``teleport-check`` and
+``dynamics-trace`` run in this process.
 
 A ``lemma1-sweep`` or ``lemma2-sweep`` trial validates its inputs once: the
 state, drawn as its eigen-ensemble, with ``check_ensemble``; the alternate
@@ -32,6 +36,7 @@ tests' oracle.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -233,9 +238,11 @@ _CHUNKS_PER_WORKER = 4
 _worker_task = None
 
 
+@functools.cache
 def _openblas_thread_api():
     """``(get_num_threads, set_num_threads)`` of numpy's bundled OpenBLAS,
-    through ctypes, or None when that library is not found."""
+    through ctypes, or None when that library is not found.  Looked up once
+    per process."""
     import ctypes
 
     libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -252,11 +259,8 @@ def _openblas_thread_api():
     return None
 
 
-def _init_worker(set_blas_threads, trial_fn, cfg) -> None:
-    # One BLAS thread per worker: workers already fill the CPUs, and BLAS
-    # threads on top of them spin-wait against each other.
+def _init_worker(trial_fn, cfg) -> None:
     global _worker_task
-    set_blas_threads(1)
     _worker_task = (trial_fn, cfg)
 
 
@@ -271,10 +275,15 @@ def _map_trials(trial_fn, cfg: ScenarioConfig, workers: int | None = None) -> li
     Trials run at one OpenBLAS thread each: in forked worker processes, one
     per available CPU and at most one per trial (``workers`` overrides the
     CPU count), or in this process when there are fewer than 2 workers or
-    no ``fork`` start method.  Every trial seeds its own stream, so the rows
-    do not depend on the worker count.  When numpy's OpenBLAS is not found,
-    the trials run in this process at its BLAS thread count.  An exception
-    raised by a trial is raised here.
+    no ``fork`` start method.  This process drops to one OpenBLAS thread
+    before it forks and restores its count afterwards, so the workers
+    inherit one thread and never set the count themselves: OpenBLAS shuts
+    its thread pool down at fork, and a worker that set the count would
+    restart it, with a thread that spin-waits against the workers.  Every
+    trial seeds its own stream, so the rows do not depend on the worker
+    count.  When numpy's OpenBLAS is not found, the trials run in this
+    process at its BLAS thread count.  An exception raised by a trial is
+    raised here.
     """
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -284,28 +293,28 @@ def _map_trials(trial_fn, cfg: ScenarioConfig, workers: int | None = None) -> li
     if blas is None:
         return [trial_fn(cfg, trial) for trial in range(trials)]
     get_threads, set_threads = blas
-    if workers >= 2:
-        # imported here: at module level they would slow down `import tpslab`
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            chunks = min(trials, workers * _CHUNKS_PER_WORKER)
-            bounds = [(trials * k // chunks, trials * (k + 1) // chunks) for k in range(chunks)]
-            # fork hands trial_fn and cfg to the workers without pickling them
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(set_threads, trial_fn, cfg),
-            )
-            try:
-                return [row for chunk in pool.map(_run_chunk, bounds) for row in chunk]
-            finally:
-                pool.shutdown(cancel_futures=True)
     threads = get_threads()
     set_threads(1)
     try:
+        if workers >= 2:
+            # imported here: at module level they would slow down `import tpslab`
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                chunks = min(trials, workers * _CHUNKS_PER_WORKER)
+                bounds = [(trials * k // chunks, trials * (k + 1) // chunks) for k in range(chunks)]
+                # fork hands trial_fn and cfg to the workers without pickling them
+                pool = ProcessPoolExecutor(
+                    workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker,
+                    initargs=(trial_fn, cfg),
+                )
+                try:
+                    return [row for chunk in pool.map(_run_chunk, bounds) for row in chunk]
+                finally:
+                    pool.shutdown(cancel_futures=True)
         return [trial_fn(cfg, trial) for trial in range(trials)]
     finally:
         set_threads(threads)

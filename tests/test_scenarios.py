@@ -83,6 +83,14 @@ def failing_trial(cfg, trial):
     return [trial]
 
 
+def os_threads_trial(cfg, trial):
+    return [trial, os.getpid(), len(os.listdir("/proc/self/task"))]
+
+
+def pid_lemma1_trial(cfg, trial):
+    return [os.getpid(), *scenarios._lemma1_trial(cfg, trial)]
+
+
 @needs_pool
 @pytest.mark.parametrize("scenario", SWEEPS)
 def test_pooled_report_equals_in_process_report(tmp_path, monkeypatch, capsys, scenario):
@@ -118,20 +126,53 @@ def test_worker_exception_keeps_type_and_message(error):
         MAP_TRIALS(failing_trial, SimpleNamespace(trials=8, error=error), workers=2)
 
 
-@needs_pool
-@pytest.mark.parametrize("workers", [1, 2])
-def test_trials_run_at_one_blas_thread_in_trial_order(workers):
+@pytest.fixture
+def two_blas_threads():
+    """This process at 2 OpenBLAS threads during the test."""
     before = BLAS[0]()
     BLAS[1](2)
-    try:
-        rows = MAP_TRIALS(blas_threads_trial, SimpleNamespace(trials=8), workers=workers)
-        assert BLAS[0]() == 2
-    finally:
-        BLAS[1](before)
+    yield
+    BLAS[1](before)
+
+
+@needs_pool
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trials_run_at_one_blas_thread_in_trial_order(workers, two_blas_threads):
+    rows = MAP_TRIALS(blas_threads_trial, SimpleNamespace(trials=8), workers=workers)
+    assert BLAS[0]() == 2
     assert [r[0] for r in rows] == list(range(8))
     assert all(r[2] == 1 for r in rows)
     pids = {r[1] for r in rows}
     assert (os.getpid() in pids) == (workers == 1)
+
+
+@needs_pool
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "worker"])
+def test_blas_thread_count_is_restored_when_a_trial_raises(workers, two_blas_threads):
+    with pytest.raises(ValueError, match="^trial 5 failed$"):
+        MAP_TRIALS(failing_trial, SimpleNamespace(trials=8, error=ValueError), workers=workers)
+    assert BLAS[0]() == 2
+
+
+@needs_pool
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_workers_run_one_os_thread(two_blas_threads):
+    # A worker that set its own BLAS thread count would restart OpenBLAS's
+    # thread pool, whose thread spin-waits against the workers.
+    rows = MAP_TRIALS(os_threads_trial, SimpleNamespace(trials=8), workers=2)
+    assert os.getpid() not in {r[1] for r in rows}
+    assert [r[2] for r in rows] == [1] * 8
+
+
+@needs_pool
+def test_trials_run_in_this_process_without_openblas(oracle_configs, monkeypatch):
+    cfg = dataclasses.replace(oracle_configs["2222", "grouping"][0], trials=9)
+    pooled = MAP_TRIALS(pid_lemma1_trial, cfg, workers=2)
+    monkeypatch.setattr(scenarios, "_openblas_thread_api", lambda: None)
+    rows = MAP_TRIALS(pid_lemma1_trial, cfg, workers=2)
+    assert [r[1] for r in rows] == list(range(9))
+    assert {r[0] for r in rows} == {os.getpid()}
+    assert [r[1:] for r in rows] == [r[1:] for r in pooled]
 
 
 @pytest.mark.parametrize(
