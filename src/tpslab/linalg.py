@@ -78,7 +78,13 @@ def _checked_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name}: trace is {tr:.12g}, expected 1 within {TRACE_TOL:.0e}")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    diagonal = np.diagonal(rho)
+    if np.count_nonzero(rho) == np.count_nonzero(diagonal):
+        # exactly diagonal, such as a maximally mixed reference: the spectrum
+        # is the real diagonal, with no O(d^3) eigensolver call
+        w = np.sort(diagonal.real)
+    else:
+        w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if w[0] < PSD_FLOOR:
         raise ValueError(f"{name}: not positive semidefinite (min eigenvalue {w[0]:.3e})")
     return rho, w
@@ -182,14 +188,18 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * w * float(t))
 
 
-def trace_norm(m) -> float:
+def trace_norm(m, hermitian: bool = False) -> float:
     """Sum of singular values.
 
     Hermitian inputs (relative defect <= 1e-8) use eigenvalue moduli; the
     general case uses the square root of the spectrum of ``m^H m``.
+    ``hermitian=True`` takes the Hermitian route without the test: for
+    callers whose input is Hermitian by construction, so that a
+    roundoff-sized residual, whose relative defect is large, does not pay
+    for the general route.
     """
     m = require_square(m, "trace_norm input")
-    if hermiticity_defect(m) <= 1e-8:
+    if hermitian or hermiticity_defect(m) <= 1e-8:
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         return float(np.abs(w).sum())
     w = np.linalg.eigvalsh(m.conj().T @ m)

@@ -230,10 +230,10 @@ def relevance_defect(rho, s: Structure, spec: ProjectionSpec) -> float:
     structure's own basis.  Zero (to tolerance) for every valid spec."""
     q = complement(rho, s, spec)
     q_s = to_structure_basis(q, s)
-    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"))
+    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"), hermitian=True)
 
 
 def idempotency_defect(rho, s: Structure, spec: ProjectionSpec) -> float:
     """Trace norm of P(P rho) - P rho."""
     p1 = project(rho, s, spec)
-    return trace_norm(apply_projection(p1, s, spec) - p1)
+    return trace_norm(apply_projection(p1, s, spec) - p1, hermitian=True)

@@ -62,7 +62,7 @@ def _checked_report(d: np.ndarray, context: str) -> DefectReport:
         )
     return DefectReport(
         defect_matrix=d,
-        trace_norm_defect=trace_norm(d),
+        trace_norm_defect=trace_norm(d, hermitian=True),
         trace_residual=residual,
     )
 
@@ -309,7 +309,7 @@ def commutator_defect(
     check_compatible(s_b, spec_b)
     comm = apply_projection(apply_projection(rho, s_b, spec_b), s_a, spec_a)
     comm -= apply_projection(apply_projection(rho, s_a, spec_a), s_b, spec_b)
-    return trace_norm(comm)
+    return trace_norm(comm, hermitian=True)
 
 
 def _lemma2_in_basis(rho_a, rho_b, v, s_a, spec_a, s_b, spec_b) -> tuple[float, np.ndarray]:
@@ -321,7 +321,7 @@ def _lemma2_in_basis(rho_a, rho_b, v, s_a, spec_a, s_b, spec_b) -> tuple[float, 
     p_a_rho = _project_in_basis(rho_a, s_a, spec_a)
     p_b_rho = v @ _project_in_basis(rho_b, s_b, spec_b) @ vh
     p_b_p_a_rho = v @ _project_in_basis(vh @ p_a_rho @ v, s_b, spec_b) @ vh
-    return trace_norm(_project_in_basis(p_b_rho, s_a, spec_a) - p_b_p_a_rho), p_a_rho
+    return trace_norm(_project_in_basis(p_b_rho, s_a, spec_a) - p_b_p_a_rho, hermitian=True), p_a_rho
 
 
 def mutual_information(rho, s: Structure) -> float:

@@ -202,7 +202,7 @@ def _teleport_check(cfg: ScenarioConfig):
         rho = np.outer(psi, psi.conj())
         p_rho = project(rho, s_a, spec_a)
         pur = purity(p_rho)
-        fixed_point_defect = trace_norm(p_rho - rho)
+        fixed_point_defect = trace_norm(p_rho - rho, hermitian=True)
         if fixed_point_defect > 1e-10:
             raise InvariantViolation(
                 f"teleport-check: projection onto the entangled-pair reference should leave"
@@ -407,7 +407,7 @@ def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
     defect, p_a_rho = _lemma2_in_basis(rho_a, rho_b, v, s_a, spec, s_b, spec)
     # the same-spec control: P_A is idempotent, so P_A(P_A rho) - P_A rho
     # stays at roundoff
-    control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - p_a_rho)
+    control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - p_a_rho, hermitian=True)
     if control > TRACE_RESIDUAL_TOL:
         raise InvariantViolation(f"lemma2-sweep: idempotency residual {control:.3e} exceeds {TRACE_RESIDUAL_TOL:.0e}")
     return [trial, kind, defect, control]

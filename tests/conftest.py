@@ -9,6 +9,7 @@ from tpslab import (
     RandomStream,
     TypeIProjection,
     bell_pair,
+    dynamics,
     eigh,
     maximally_mixed,
     mix_seed,
@@ -56,3 +57,24 @@ def teleport_setup(u=None):
 def bell_density() -> np.ndarray:
     phi = bell_pair()
     return np.outer(phi, phi.conj())
+
+
+def spy_routes(monkeypatch) -> list[str]:
+    """Record the name of each propagation route that ``trajectory`` runs."""
+    taken = []
+    for name in ("_chebyshev_route", "_eigh_route"):
+        route = getattr(dynamics, name)
+
+        def spy(*args, _name=name, _route=route):
+            taken.append(_name)
+            return _route(*args)
+
+        monkeypatch.setattr(dynamics, name, spy)
+    return taken
+
+
+def force_route(monkeypatch, chebyshev: bool) -> list[str]:
+    """Make ``trajectory`` propagate by Chebyshev steps (True) or by eigh
+    (False) whatever the route rule says; returns :func:`spy_routes`' list."""
+    monkeypatch.setattr(dynamics, "_chebyshev_wins", lambda *args: chebyshev)
+    return spy_routes(monkeypatch)

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +28,17 @@ from tpslab import (
     kron,
     mix_seed,
     mutual_information,
+    load_config,
     purity,
     reduced_state,
+    schmidt,
     structure_from_grouping,
     structure_from_unitary,
     trajectory,
 )
-from conftest import haar_structure, max_mixed_spec, propagator, stream, teleport_setup
+from tpslab.linalg import ENTROPY_EIGVAL_FLOOR, UNITARITY_TOL, _orthonormality_defect
+from tpslab.structures import vector_to_structure_basis
+from conftest import force_route, haar_structure, max_mixed_spec, propagator, spy_routes, stream, teleport_setup
 
 ensemble_density = dynamics._ensemble_density
 
@@ -446,13 +453,19 @@ class TestTrajectoryInvariants:
     def setup_args(self, setup=_nested_groupings):
         return gue_hamiltonian(16, 166), TimeGrid(0.0, 1.0, 2), *setup()
 
-    # both kernels rely on the orthonormality of the evolved vectors
+    # both kernels rely on the orthonormality of the evolved vectors; each
+    # propagation route is scaled where it forms the propagator
+    @pytest.mark.parametrize(
+        "chebyshev, scaled", [(False, "_phases"), (True, "_chebyshev_coefficients")], ids=["eigh", "chebyshev"]
+    )
     @pytest.mark.parametrize("setup", [_nested_groupings, _grouping_and_haar], ids=["groupings", "grouping-haar"])
-    def test_non_unitary_propagation_is_caught(self, monkeypatch, setup):
-        phases = dynamics._phases
-        monkeypatch.setattr(dynamics, "_phases", lambda w, t: (1 + 1e-7) * phases(w, t))
+    def test_non_unitary_propagation_is_caught(self, monkeypatch, setup, chebyshev, scaled):
+        taken = force_route(monkeypatch, chebyshev)
+        original = getattr(dynamics, scaled)
+        monkeypatch.setattr(dynamics, scaled, lambda *args: (1 + 1e-7) * original(*args))
         with pytest.raises(InvariantViolation, match="not orthonormal"):
             trajectory(stream(167).ginibre_ensemble(16, 2), *self.setup_args(setup))
+        assert taken == ["_chebyshev_route" if chebyshev else "_eigh_route"]
 
     @pytest.mark.parametrize(
         "weights, vectors, fragment",
@@ -468,3 +481,213 @@ class TestTrajectoryInvariants:
     def test_bad_ensemble_rejected_at_entry(self, weights, vectors, fragment):
         with pytest.raises(ValueError, match=fragment):
             trajectory((weights, vectors), *self.setup_args())
+
+
+def hamiltonian_matrix(kind: str, dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "gue":
+        return stream(seed).gue(dim)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(-5.0, 5.0, dim)).astype(np.complex128)
+    if kind == "scalar":
+        return rng.uniform(-5.0, 5.0) * np.eye(dim, dtype=np.complex128)
+    return np.zeros((dim, dim), dtype=np.complex128)
+
+
+def proven_interval(h: np.ndarray) -> tuple[float, float]:
+    return dynamics._proven_interval(h, *dynamics._lanczos_interval(h))
+
+
+def assert_routes_agree(vectors, h, grid, interval, atol=1e-12):
+    chebyshev = list(dynamics._chebyshev_route(vectors, h, grid, interval))
+    exact = list(dynamics._eigh_route(vectors, h, grid.times()))
+    assert len(chebyshev) == len(exact) == grid.steps + 1
+    for got, want in zip(chebyshev, exact):
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+class TestPropagationRoutes:
+    """Chebyshev steps on the proven interval against the eigh route, which
+    propagates every point from t = 0 in one shot."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(8, 256),
+        rank=st.integers(1, 4),
+        kind=st.sampled_from(["gue", "diagonal", "scalar", "zero"]),
+        t0=st.floats(-3.0, 3.0).filter(lambda t: t != 0.0),
+        span=st.floats(0.05, 3.0),
+        steps=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chebyshev_steps_match_eigh(self, dim, rank, kind, t0, span, steps, seed):
+        h = Hamiltonian(hamiltonian_matrix(kind, dim, seed)).mat
+        vectors = np.linalg.qr(stream(seed, 1).complex_matrix(dim, rank))[0]
+        assert_routes_agree(vectors, h, TimeGrid(t0, t0 + span, steps), proven_interval(h))
+
+    def test_negative_times(self):
+        h = gue_hamiltonian(64, 171).mat
+        assert_routes_agree(stream(172).haar_pure(64)[:, None], h, TimeGrid(-2.5, -0.5, 4), proven_interval(h))
+
+    def test_interval_holds_the_spectrum(self):
+        for kind in ("gue", "diagonal", "scalar", "zero"):
+            h = hamiltonian_matrix(kind, 32, 173)
+            lo, hi = proven_interval(h)
+            spectrum = np.linalg.eigvalsh(h)
+            assert lo <= spectrum[0] and spectrum[-1] <= hi, kind
+
+    def test_narrowed_estimate_is_widened_by_the_proof(self, monkeypatch):
+        h = gue_hamiltonian(256, 174)
+        lo, hi = dynamics._lanczos_interval(h.mat)
+        center, half = (hi + lo) / 2, (hi - lo) / 2
+        narrowed = (center - 0.83 * half, center + 0.83 * half)
+        spectrum = np.linalg.eigvalsh(h.mat)
+        assert spectrum[0] < narrowed[0] and narrowed[1] < spectrum[-1]
+        proven = dynamics._proven_interval(h.mat, *narrowed)
+        assert proven[0] <= spectrum[0] and spectrum[-1] <= proven[1]
+
+        # unproven, the narrowed series misses the goldens' tolerance, and the
+        # orthonormality check does not notice
+        vectors = np.linalg.qr(stream(175).complex_matrix(256, 2))[0]
+        grid = TimeGrid(0.0, 2.0, 7)
+        unproven = list(dynamics._chebyshev_route(vectors, h.mat, grid, narrowed))
+        exact = list(dynamics._eigh_route(vectors, h.mat, grid.times()))
+        assert max(np.abs(a - b).max() for a, b in zip(unproven, exact)) > 1e-12
+        assert max(_orthonormality_defect(a) for a in unproven) < UNITARITY_TOL
+
+        # trajectory proves the estimate it is given before it steps
+        layout = FactorLayout((2,) * 8)
+        args = (
+            pure(stream(176).haar_pure(256)),
+            h,
+            grid,
+            structure_from_grouping(layout, (0,)),
+            max_mixed_spec(128),
+            structure_from_grouping(layout, (0, 1, 2, 3)),
+            max_mixed_spec(16),
+        )
+        monkeypatch.setattr(dynamics, "_lanczos_interval", lambda m: narrowed)
+        taken = force_route(monkeypatch, True)
+        got = trajectory(*args)
+        monkeypatch.setattr(dynamics, "_chebyshev_wins", lambda *a: False)
+        assert_points_close(got, trajectory(*args), 1e-12)
+        assert taken == ["_chebyshev_route", "_eigh_route"]
+
+    @pytest.mark.parametrize("setup", [_nested_groupings, _grouping_and_haar], ids=["groupings", "grouping-haar"])
+    def test_maximally_mixed_state_is_not_propagated(self, monkeypatch, setup):
+        def fail(*args):
+            raise AssertionError("propagated")
+
+        for name in ("_lanczos_interval", "_chebyshev_route", "_eigh_route"):
+            monkeypatch.setattr(dynamics, name, fail)
+        s_a, spec_a, s_b, spec_b = setup()
+        state = (np.full(16, 1 / 16), np.eye(16, dtype=np.complex128))
+        h = gue_hamiltonian(16, 177)
+        grid = TimeGrid(-1.0, 2.0, 5)
+        got = trajectory(state, h, grid, s_a, spec_a, s_b, spec_b)
+        want = public_route_points(ensemble_density(*state), h, grid, s_a, spec_a, s_b, spec_b)
+        assert_points_close(got, want, 1e-12)
+
+
+class TestChebyshevSeries:
+    THETA = np.linspace(0.0, np.pi, 101)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-6, 0.3, 1.0, 9.14, 40.0, 200.0, 1500.0])
+    def test_bessel_values_satisfy_jacobi_anger(self, x):
+        # exp(i x cos theta) = J_0(x) + 2 sum_{k>=1} i^k J_k(x) cos(k theta),
+        # with the series cut where dynamics cuts it; roundoff grows with x
+        j = dynamics._bessel_j(x)
+        k = np.arange(1, j.size)
+        series = j[0] + 2 * (np.array([1, 1j, -1, -1j])[k % 4] * j[1:]) @ np.cos(np.outer(k, self.THETA))
+        want = np.exp(1j * x * np.cos(self.THETA))
+        np.testing.assert_allclose(series, want, rtol=0, atol=1e-15 * max(100.0, x))
+        assert j.size > x
+
+    @pytest.mark.parametrize("dt", [0.7, -0.7, 3.0, -1e-3, 1e-9])
+    def test_coefficients_expand_one_step(self, dt):
+        # exp(-i dt (center + half y)) = sum_k a_k T_k(y), at y = cos theta
+        center, half = 1.3, 11.0
+        a = dynamics._chebyshev_coefficients(center, half, dt)
+        series = a @ np.cos(np.outer(np.arange(a.size), self.THETA))
+        want = np.exp(-1j * dt * (center + half * np.cos(self.THETA)))
+        np.testing.assert_allclose(series, want, rtol=0, atol=1e-13)
+
+
+def perfbench_workloads(monkeypatch):
+    """The benchmark's workload definitions, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRouteRule:
+    def test_every_dyn_grouped_variant_takes_chebyshev(self, tmp_path, monkeypatch):
+        workloads = perfbench_workloads(monkeypatch)
+        taken = spy_routes(monkeypatch)
+        for variant in range(workloads.VARIANTS):
+            cfg = load_config(workloads.write_inputs("dyn-grouped", variant, tmp_path / str(variant))["dynamics"])
+            trajectory(
+                cfg.initial_state,
+                cfg.hamiltonian,
+                cfg.time_grid,
+                cfg.structure_a,
+                cfg.projection_a,
+                cfg.structure_b,
+                cfg.projection_b,
+            )
+        assert taken == ["_chebyshev_route"] * workloads.VARIANTS
+
+    # R is about 2 sqrt(d) for a GUE H: 32 at d=256, 64 at d=1024
+    @pytest.mark.parametrize(
+        "dim, rank, r_span, steps, chebyshev",
+        [
+            (256, 1, 64, 7, True),  # dyn-grouped
+            (1024, 1, 128, 7, True),
+            (1024, 4, 128, 7, True),
+            (4096, 1, 256, 7, True),
+            (16, 1, 16, 5, False),  # small d: eigh is cheaper than any series
+            (256, 256, 64, 7, False),  # rank near d
+            (256, 200, 64, 7, False),
+            (1024, 1000, 128, 7, False),
+            (256, 1, 32 * 50, 7, False),  # long spans
+            (1024, 1, 64 * 50, 7, False),
+            (1024, 1, 128, 400, False),  # many steps
+        ],
+    )
+    def test_route_choice(self, dim, rank, r_span, steps, chebyshev):
+        assert dynamics._chebyshev_wins(dim, rank, r_span, steps) is chebyshev
+
+
+class TestSchmidtRoute:
+    """For a pure state, the Schmidt coefficients s_k across each split give
+    the mi_* and purity_* columns without a partial trace: MI = 2 H(s_k^2)
+    and purity = sum s_k^4."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["grouping", "haar"]),
+        data=st.data(),
+        chebyshev=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_columns_match_schmidt_coefficients(self, kind, data, chebyshev, seed):
+        s_a = data.draw(structures_2322("grouping"))
+        s_b = data.draw(structures_2322(kind))
+        psi = stream(seed, 2).haar_pure(24)
+        h = gue_hamiltonian(24, mix_seed(seed, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_chebyshev_wins", lambda *args: chebyshev)
+            points = trajectory(
+                pure(psi), h, TimeGrid(-0.5, 1.0, 3), s_a, max_mixed_spec(s_a.dim_e), s_b, max_mixed_spec(s_b.dim_e)
+            )
+        for p in points:
+            psi_t = propagator(h.mat, p.t) @ psi
+            for s, mi, pur in ((s_a, p.mi_a, p.purity_s), (s_b, p.mi_b, p.purity_sprime)):
+                coeffs = schmidt(vector_to_structure_basis(psi_t, s), s.dim_s, s.dim_e).coeffs
+                prob = coeffs**2
+                prob = prob[prob > ENTROPY_EIGVAL_FLOOR]
+                assert mi == pytest.approx(-2 * float((prob * np.log(prob)).sum()), abs=1e-12)
+                assert pur == pytest.approx(float((coeffs**4).sum()), abs=1e-12)

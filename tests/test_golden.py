@@ -26,6 +26,7 @@ import pytest
 
 from tpslab import read_matrix_file
 from tpslab.cli import main
+from conftest import force_route
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
@@ -76,6 +77,23 @@ def read_series(path: Path) -> list[dict]:
 def test_report_matches_golden(tmp_path, capsys, case):
     out = run(case, tmp_path / "out")
     assert capsys.readouterr().err == ""
+    check_report(out, case)
+
+
+DYNAMICS_CASES = [case for case in CASES if case.startswith("dynamics-")]
+
+
+@pytest.mark.parametrize("chebyshev", [True, False], ids=["chebyshev", "eigh"])
+@pytest.mark.parametrize("case", DYNAMICS_CASES)
+def test_dynamics_golden_on_both_propagation_routes(tmp_path, monkeypatch, case, chebyshev):
+    # the route rule picks eigh at these small dimensions; force each route
+    assert len(DYNAMICS_CASES) == 3
+    taken = force_route(monkeypatch, chebyshev)
+    check_report(run(case, tmp_path / "out"), case)
+    assert taken == ["_chebyshev_route" if chebyshev else "_eigh_route"]
+
+
+def check_report(out: Path, case: str) -> None:
     want = json.loads((GOLDEN / case / "summary.json").read_text(encoding="utf-8"))
     got = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     check_value(got, want, "", "summary")

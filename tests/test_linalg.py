@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from tpslab import (
     RandomStream,
+    linalg,
+    relativity,
     check_density_matrix,
     eigh,
     kron,
@@ -17,6 +19,7 @@ from tpslab import (
     trace_norm,
     von_neumann_entropy,
 )
+from tpslab.linalg import _checked_spectrum, hermiticity_defect
 from conftest import bell_density, propagator, stream
 
 
@@ -155,6 +158,24 @@ class TestTraceNorm:
     def test_diagonal(self):
         assert abs(trace_norm(np.diag([1.0, -2.0])) - 3.0) <= 1e-14
 
+    def test_hermitian_flag_skips_the_test_for_roundoff_sized_input(self, monkeypatch):
+        # the idempotency residual of the lemma2 sweeps is of this kind: its
+        # relative Hermiticity defect is of order 1, so the test alone sends
+        # it down the m^H m route
+        m = 1e-17 * stream(170).complex_matrix(6, 6)
+        m += m.conj().T
+        m[0, 1] += 3e-18
+        assert hermiticity_defect(m) > 1e-8
+        want = float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum())
+        monkeypatch.setattr(linalg, "hermiticity_defect", lambda m: pytest.fail("tested Hermiticity"))
+        assert trace_norm(m, hermitian=True) == want
+
+    def test_internal_callers_pass_hermitian(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(relativity, "trace_norm", lambda m, **kw: calls.append(kw) or 0.0)
+        relativity._checked_report(np.diag([0.5, -0.5]).astype(complex), "test")
+        assert calls == [{"hermitian": True}]
+
     def test_non_hermitian(self):
         m = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert abs(trace_norm(m) - 2.0) <= 1e-10
@@ -240,3 +261,17 @@ class TestEntropyAndStates:
             check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="positive semidefinite"):
             check_density_matrix(np.diag([1.5, -0.5]))
+
+    def test_diagonal_spectrum_without_an_eigensolver(self, monkeypatch):
+        rho = np.diag([0.5, 0.125, 0.375]).astype(complex)
+        want = np.linalg.eigvalsh(rho)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("eigvalsh called"))
+        np.testing.assert_array_equal(_checked_spectrum(rho)[1], want)
+        assert _checked_spectrum(maximally_mixed(128))[1].tolist() == [1 / 128] * 128
+        # the diagonal route keeps every check
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            check_density_matrix(np.diag([1.5, -0.5]))
+        with pytest.raises(ValueError, match="trace"):
+            check_density_matrix(np.diag([0.5, 0.25]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density_matrix(np.diag([0.5 + 0.1j, 0.5]))
