@@ -26,9 +26,9 @@ from tpslab import (
     from_structure_basis,
     identity_structure,
     kron,
+    load_config,
     mix_seed,
     mutual_information,
-    load_config,
     purity,
     reduced_state,
     schmidt,
@@ -455,17 +455,16 @@ class TestTrajectoryInvariants:
 
     # both kernels rely on the orthonormality of the evolved vectors; each
     # propagation route is scaled where it forms the propagator
-    @pytest.mark.parametrize(
-        "chebyshev, scaled", [(False, "_phases"), (True, "_chebyshev_coefficients")], ids=["eigh", "chebyshev"]
-    )
     @pytest.mark.parametrize("setup", [_nested_groupings, _grouping_and_haar], ids=["groupings", "grouping-haar"])
-    def test_non_unitary_propagation_is_caught(self, monkeypatch, setup, chebyshev, scaled):
-        taken = force_route(monkeypatch, chebyshev)
-        original = getattr(dynamics, scaled)
-        monkeypatch.setattr(dynamics, scaled, lambda *args: (1 + 1e-7) * original(*args))
-        with pytest.raises(InvariantViolation, match="not orthonormal"):
-            trajectory(stream(167).ginibre_ensemble(16, 2), *self.setup_args(setup))
-        assert taken == ["_chebyshev_route" if chebyshev else "_eigh_route"]
+    def test_non_unitary_propagation_is_caught(self, monkeypatch, setup):
+        for route, scaled in (("_eigh_route", "_phases"), ("_chebyshev_route", "_chebyshev_coefficients")):
+            with monkeypatch.context() as patch:
+                taken = force_route(patch, route == "_chebyshev_route")
+                original = getattr(dynamics, scaled)
+                patch.setattr(dynamics, scaled, lambda *args, f=original: (1 + 1e-7) * f(*args))
+                with pytest.raises(InvariantViolation, match="not orthonormal"):
+                    trajectory(stream(167).ginibre_ensemble(16, 2), *self.setup_args(setup))
+                assert taken == [route]
 
     @pytest.mark.parametrize(
         "weights, vectors, fragment",
@@ -498,12 +497,12 @@ def proven_interval(h: np.ndarray) -> tuple[float, float]:
     return dynamics._proven_interval(h, *dynamics._lanczos_interval(h))
 
 
-def assert_routes_agree(vectors, h, grid, interval, atol=1e-12):
+def assert_routes_agree(vectors, h, grid, interval):
     chebyshev = list(dynamics._chebyshev_route(vectors, h, grid, interval))
     exact = list(dynamics._eigh_route(vectors, h, grid.times()))
     assert len(chebyshev) == len(exact) == grid.steps + 1
     for got, want in zip(chebyshev, exact):
-        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestPropagationRoutes:
