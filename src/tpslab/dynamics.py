@@ -3,21 +3,23 @@
 :func:`trajectory` returns a tuple with one :class:`TrajectoryPoint` per grid
 time: the cross-split functionals that a ``dynamics-trace`` report writes.
 It evolves the state's vectors by one of two routes, chosen by a fixed cost
-rule from d, the rank r, R * span and the number of steps:
+rule from d, the rank r, the spectral half-width R of H and the grid times:
 
-* Chebyshev steps (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)):
-  exp(-i H dt) as a truncated series in Chebyshev polynomials of H, whose
-  Bessel coefficients come from Miller's backward recurrence.  It costs
-  about R * span products of H with the r vectors, plus 5-40 per step.  It
-  needs an interval that holds H's spectrum: a short Lanczos run estimates
-  it, and two Cholesky factorizations prove it, widening it until they
-  exist.
-  An unproven interval 20% too narrow leaves amplitude errors of order
-  1e-11 that the orthonormality check does not see.
-* one eigendecomposition of H, which is cheaper for high rank, long spans
-  and small d.
+* a Chebyshev series (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)):
+  exp(-i H t) psi = sum_k a_k(t) T_k(H_s) psi, with Bessel coefficients
+  from Miller's backward recurrence.  The vectors T_k(H_s) psi do not
+  depend on t, so one recurrence of about R max|t| products of H with the
+  r vectors serves every grid point.  It needs an interval that holds H's
+  spectrum: a short Lanczos run estimates it, and two Cholesky
+  factorizations prove it, widening it until they exist.  An unproven
+  interval 5% too narrow leaves amplitude errors of order 1e-10 that the
+  orthonormality check does not see.
+* one eigendecomposition of H, which is cheaper for high rank, long spans,
+  many grid points and small d.
 
-The route depends only on the inputs, so the report bytes do too.
+The route depends only on the inputs, so the report bytes do too.  On
+either route the value at one time does not depend on the other grid
+points.
 
 Randomness contract (recorded in every report as ``GENERATOR_NAME``):
 uniforms come from numpy's PCG64 bit generator seeded with a 64-bit integer;
@@ -228,23 +230,25 @@ def trajectory(
     column of ``vectors``.  The ensemble and both structure/spec pairs are
     validated here, once; the ensemble needs positive weights summing to 1
     and orthonormal vectors.  The state at t = 0 is rho_0, and only its r
-    vectors are evolved, by one of two routes that
-    :func:`_chebyshev_wins` picks from d, r, R * span and the number of
-    steps (R is the spectral half-width of H, span = |t0| + (t1 - t0)):
+    vectors are evolved, by one of two routes that :func:`_chebyshev_wins`
+    picks from d, r, the spectral half-width R of H and the grid times:
 
-    * Chebyshev steps, for low rank and short spans: the vectors step from
-      0 to t0 and then from grid point to grid point, each step a truncated
-      Chebyshev series of exp(-i H dt) that needs only products H @ Psi.
-      The series converges only on an interval that holds the spectrum, so
-      the interval estimated by a short Lanczos run is proven first: hi I -
-      H and H - lo I must both have a Cholesky factorization, and a bound
-      that fails is widened and checked again.  Stepping makes each point
-      depend on the grid at roundoff level: halving dt moves the common
-      points by a few 1e-15.
-    * eigh, for high rank and long spans: from one eigendecomposition
-      H = V diag(w) V^H, psi_k(t) = V (exp(-i w t) * V^H psi_k) at each
-      absolute time, independently of the grid.
+    * Chebyshev, for low rank and short spans: psi(t) = sum_k a_k(t)
+      T_k(H_s) psi, H_s = (H - center) / R, where a_k(t) comes from the
+      Bessel values J_k(R t).  One recurrence T_{k+1} = 2 H_s T_k - T_{k-1},
+      one product H @ Psi per term, runs to the longest series of the grid
+      and serves every point.  The series converges only on an interval
+      that holds the spectrum, so the interval estimated by a short Lanczos
+      run is proven first: hi I - H and H - lo I must both have a Cholesky
+      factorization, and a bound that fails is widened and checked again.
+      The rule is asked again with the proven interval, which can be wider.
+    * eigh, for high rank, long spans and many points: from one
+      eigendecomposition H = V diag(w) V^H, psi_k(t) = V (exp(-i w t) *
+      V^H psi_k).
 
+    Both routes evolve every point from t = 0 at its absolute time, so a
+    point's value does not depend on the other grid times; refining the
+    grid leaves the common points unchanged unless it changes the route.
     A maximally mixed ensemble (r = d, equal weights) is I/d at every time
     and is not evolved.  At each time the evolved vectors must stay
     orthonormal, else :class:`InvariantViolation`; then rho_t has the
@@ -437,8 +441,8 @@ def _ensemble_points(
     )
 
 
-# Propagation constants.  FIXED_PRODUCTS and EIGH_PRODUCTS_PER_DIM come from
-# timing eigh(H) against the Chebyshev route at d = 128-1024 and r = 1-16 on
+# Propagation constants.  FIXED_PRODUCTS, EIGH_PRODUCTS_PER_DIM and
+# ACCUMULATE_PRODUCTS come from timing eigh(H) against the Chebyshev route on
 # a 2-vCPU x86-64 host, OpenBLAS at two threads (see _chebyshev_wins).
 LANCZOS_STEPS = 20
 LANCZOS_SEED = 0x5EED  # a fixed start vector: the interval, so the bytes, depend on H alone
@@ -446,23 +450,32 @@ INTERVAL_PAD = 0.01  # widening of the Lanczos estimate, relative to its half-wi
 CHEBYSHEV_TAIL = 1e-18  # the series ends where |J_k| falls below this
 FIXED_PRODUCTS = 80  # the Lanczos run with its reorthogonalization, in H @ psi products
 EIGH_PRODUCTS_PER_DIM = 2.0  # eigh(H) and the two Cholesky proofs, in H @ psi products per unit of d
+ACCUMULATE_PRODUCTS = 10.0  # adding a_k T_k(H_s) Psi to one point, in H @ psi products per unit of r / d
+POINTS_BLOCK_BYTES = 1 << 24  # the evolved vectors that one Chebyshev recurrence accumulates
 
 
 def _evolved_vectors(weights: np.ndarray, vectors: np.ndarray, h: np.ndarray, grid: TimeGrid):
     """The ensemble's vectors at each grid time, in time order, each checked
     orthonormal, by the route that :func:`_chebyshev_wins` picks.  A
     maximally mixed ensemble (r = d, equal weights) is I/d at every time:
-    its vectors are returned unevolved."""
+    its vectors are returned unevolved.  The rule is asked three times: with
+    R = 0 (the cheapest any interval allows; no Lanczos run when even that
+    loses), with the Lanczos estimate, and with the proven interval, which
+    can be wider."""
     dim, rank = vectors.shape
+    times = grid.times()
     if rank == dim and np.all(weights == weights[0]):
-        return [vectors] * (grid.steps + 1)
-    lo, hi = _lanczos_interval(h)
-    span = abs(grid.t0) + (grid.t1 - grid.t0)
-    if _chebyshev_wins(dim, rank, (hi - lo) / 2 * span, grid.steps):
-        route = _chebyshev_route(vectors, h, grid, _proven_interval(h, lo, hi))
-    else:
-        route = _eigh_route(vectors, h, grid.times())
-    return (_checked_orthonormal(psi_t, t) for t, psi_t in zip(grid.times(), route))
+        return [vectors] * times.size
+    route = None
+    if _chebyshev_wins(dim, rank, 0.0, times):
+        interval = _lanczos_interval(h)
+        if _chebyshev_wins(dim, rank, (interval[1] - interval[0]) / 2, times):
+            interval = _proven_interval(h, *interval)
+            if _chebyshev_wins(dim, rank, (interval[1] - interval[0]) / 2, times):
+                route = _chebyshev_route(vectors, h, times, interval)
+    if route is None:
+        route = _eigh_route(vectors, h, times)
+    return (_checked_orthonormal(psi_t, t) for t, psi_t in zip(times, route))
 
 
 def _checked_orthonormal(psi_t: np.ndarray, t: float) -> np.ndarray:
@@ -475,21 +488,34 @@ def _checked_orthonormal(psi_t: np.ndarray, t: float) -> np.ndarray:
     return psi_t
 
 
-def _chebyshev_wins(dim: int, rank: int, r_span: float, steps: int) -> bool:
-    """Whether Chebyshev steps should cost less than one eigendecomposition
-    of H, from the dimension, the rank, the spectral half-width R times the
-    propagated time |t0| + (t1 - t0), and the number of steps.
+def _series_length(x: np.ndarray) -> np.ndarray:
+    """About the number of terms :func:`_bessel_j` keeps for x = R |t|
+    (within 1-4 terms for x = 0.5-8000)."""
+    return x + 12 * np.cbrt(x) + 4
 
-    A step of x = R dt takes about x + 12 x^(1/3) + 4 terms, one product
-    H @ Psi each.  With r > 1 columns a product costs as much as 2 + r / 6
-    products with one vector.  Against eigh, at net EIGH_PRODUCTS_PER_DIM
-    * d such products, the rule picked the faster route in 56 of 60 timed
-    cases (d = 128-1024, r = 1-16, spans 2 and 8, 7 and 32 steps); in the
-    other 4 it picked eigh where Chebyshev steps were 9-21% faster."""
-    x = r_span / steps
-    products = FIXED_PRODUCTS + steps * (x + 12 * x ** (1 / 3) + 4)
+
+def _chebyshev_wins(dim: int, rank: int, half: float, times: np.ndarray) -> bool:
+    """Whether the Chebyshev route should cost less than one
+    eigendecomposition of H, from the dimension, the rank, the spectral
+    half-width R and the grid times.
+
+    Costs are counted in products of H with one vector.  A point at time t
+    takes about x + 12 x^(1/3) + 4 terms, x = R |t|; one recurrence per
+    block of points (see :func:`_chebyshev_route`) runs to the block's
+    longest series, one product H @ Psi per term.  With r > 1 columns a
+    product costs as much as 2 + r / 6 products with one vector, and adding
+    one term to one point costs ACCUMULATE_PRODUCTS * r / d.  eigh costs
+    EIGH_PRODUCTS_PER_DIM * d net of the two Cholesky proofs."""
+    lengths = _series_length(half * np.abs(np.asarray(times, dtype=float)))
+    block = _points_per_block(dim, rank)
+    recurrence = sum(lengths[i : i + block].max() for i in range(0, lengths.size, block))
     per_product = 1.0 if rank == 1 else 2.0 + rank / 6
-    return products * per_product <= EIGH_PRODUCTS_PER_DIM * dim
+    accumulate = ACCUMULATE_PRODUCTS * rank / dim * lengths.sum()
+    return bool(FIXED_PRODUCTS + recurrence * per_product + accumulate <= EIGH_PRODUCTS_PER_DIM * dim)
+
+
+def _points_per_block(dim: int, rank: int) -> int:
+    return max(1, POINTS_BLOCK_BYTES // (16 * dim * rank))
 
 
 def _eigh_route(vectors: np.ndarray, h: np.ndarray, times: np.ndarray):
@@ -501,36 +527,35 @@ def _eigh_route(vectors: np.ndarray, h: np.ndarray, times: np.ndarray):
         yield v @ (_phases(w, t)[:, None] * coeffs)
 
 
-def _chebyshev_route(vectors: np.ndarray, h: np.ndarray, grid: TimeGrid, interval: tuple[float, float]):
-    """The vectors at each grid time by steps of exp(-i H dt), each a
-    truncated Chebyshev series on ``interval``, which must hold the
-    spectrum of H: one step from 0 to t0 when t0 != 0, then one step of
-    dt = (t1 - t0) / steps per grid interval."""
+def _chebyshev_route(vectors: np.ndarray, h: np.ndarray, times: np.ndarray, interval: tuple[float, float]):
+    """The vectors at the absolute times ``times``: psi(t) = exp(-i H t)
+    psi = sum_k a_k(t) T_k(H_s) psi, H_s = (H - center) / half on
+    ``interval``, which must hold the spectrum of H.  The vectors T_k(H_s)
+    psi do not depend on t, so one recurrence serves a block of points, as
+    many as POINTS_BLOCK_BYTES of evolved vectors hold.  Each point sums
+    its own terms in order k, so its value does not depend on the other
+    grid points."""
     lo, hi = interval
     center, half = (hi + lo) / 2, (hi - lo) / 2
-    psi = vectors
-    if grid.t0 != 0.0:
-        psi = _chebyshev_step(h, center, half, psi, _chebyshev_coefficients(center, half, grid.t0))
-    yield psi
-    coeffs = _chebyshev_coefficients(center, half, (grid.t1 - grid.t0) / grid.steps)
-    for _ in range(grid.steps):
-        psi = _chebyshev_step(h, center, half, psi, coeffs)
-        yield psi
+    block = _points_per_block(*vectors.shape)
+    for start in range(0, times.size, block):
+        coeffs = [_chebyshev_coefficients(center, half, t) for t in times[start : start + block]]
+        yield from _chebyshev_sums(h, center, half, vectors, coeffs)
 
 
-def _chebyshev_coefficients(center: float, half: float, dt: float) -> np.ndarray:
-    """a_k with exp(-i H dt) = sum_k a_k T_k((H - center) / half) for a
+def _chebyshev_coefficients(center: float, half: float, t: float) -> np.ndarray:
+    """a_k with exp(-i H t) = sum_k a_k T_k((H - center) / half) for a
     spectrum inside [center - half, center + half], from the Jacobi-Anger
     expansion exp(-i x y) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y):
-    a_k = exp(-i center dt) (2 - [k = 0]) (-i sgn dt)^k J_k(half |dt|),
+    a_k = exp(-i center t) (2 - [k = 0]) (-i sgn t)^k J_k(half |t|),
     truncated where |J_k| < CHEBYSHEV_TAIL."""
-    j = _bessel_j(half * abs(dt))
+    j = _bessel_j(half * abs(t))
     powers = np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4]
-    if dt < 0:
+    if t < 0:
         powers = powers.conj()
     a = powers * j * 2
     a[0] /= 2
-    return a * np.exp(-1j * center * dt)
+    return a * np.exp(-1j * center * t)
 
 
 def _bessel_j(x: float) -> np.ndarray:
@@ -552,22 +577,31 @@ def _bessel_j(x: float) -> np.ndarray:
     return j[: np.flatnonzero(np.abs(j) >= CHEBYSHEV_TAIL)[-1] + 1]
 
 
-def _chebyshev_step(h: np.ndarray, center: float, half: float, y: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] T_k((H - center) / half) y, by the recurrence
-    T_{k+1}(s) y = 2 s T_k(s) y - T_{k-1}(s) y: one product with H per term."""
-    out = coeffs[0] * y
-    if coeffs.size == 1:  # x = half * |dt| negligible, as for H = center * I
-        return out
-    prev, cur = y, (h @ y - center * y) / half
-    out += coeffs[1] * cur
-    for a in coeffs[2:]:
+def _chebyshev_sums(h: np.ndarray, center: float, half: float, y: np.ndarray, coeffs: list[np.ndarray]):
+    """sum_k c[k] T_k((H - center) / half) y for each coefficient set c in
+    ``coeffs``, in order, from one recurrence T_{k+1}(s) y = 2 s T_k(s) y -
+    T_{k-1}(s) y that runs to the longest set: one product with H per term."""
+    sizes = np.array([c.size for c in coeffs])
+    order = np.argsort(-sizes, kind="stable")  # longest first: the sets still adding at term k are a prefix
+    a = np.zeros((sizes.size, sizes.max()), dtype=np.complex128)
+    for row, i in enumerate(order):
+        a[row, : sizes[i]] = coeffs[i]
+    live = np.searchsorted(-sizes[order], -np.arange(a.shape[1]), side="left")
+    out = a[:, 0, None, None] * y
+    prev, cur = None, y
+    for k in range(1, a.shape[1]):  # no term past k = 0 when x = half |t| is negligible, as for H = c I
         nxt = h @ cur
         nxt -= center * cur
-        nxt *= 2 / half
-        nxt -= prev
-        out += a * nxt
+        if prev is None:
+            nxt /= half
+        else:
+            nxt *= 2 / half
+            nxt -= prev
         prev, cur = cur, nxt
-    return out
+        out[: live[k]] += a[: live[k], k, None, None] * cur
+    rows = np.empty_like(order)
+    rows[order] = np.arange(order.size)
+    return [out[row] for row in rows]
 
 
 def _lanczos_interval(h: np.ndarray) -> tuple[float, float]:

@@ -36,6 +36,7 @@ from tpslab import (
     structure_from_unitary,
     trajectory,
 )
+from tpslab.config import MAX_TOTAL_DIM
 from tpslab.linalg import ENTROPY_EIGVAL_FLOOR, UNITARITY_TOL, _orthonormality_defect
 from tpslab.structures import vector_to_structure_basis
 from conftest import force_route, haar_structure, max_mixed_spec, propagator, spy_routes, stream, teleport_setup
@@ -498,7 +499,7 @@ def proven_interval(h: np.ndarray) -> tuple[float, float]:
 
 
 def assert_routes_agree(vectors, h, grid, interval):
-    chebyshev = list(dynamics._chebyshev_route(vectors, h, grid, interval))
+    chebyshev = list(dynamics._chebyshev_route(vectors, h, grid.times(), interval))
     exact = list(dynamics._eigh_route(vectors, h, grid.times()))
     assert len(chebyshev) == len(exact) == grid.steps + 1
     for got, want in zip(chebyshev, exact):
@@ -506,8 +507,8 @@ def assert_routes_agree(vectors, h, grid, interval):
 
 
 class TestPropagationRoutes:
-    """Chebyshev steps on the proven interval against the eigh route, which
-    propagates every point from t = 0 in one shot."""
+    """The Chebyshev series on the proven interval against the eigh route;
+    both propagate every point from t = 0 at its absolute time."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -519,7 +520,7 @@ class TestPropagationRoutes:
         steps=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_chebyshev_steps_match_eigh(self, dim, rank, kind, t0, span, steps, seed):
+    def test_chebyshev_series_matches_eigh(self, dim, rank, kind, t0, span, steps, seed):
         h = Hamiltonian(hamiltonian_matrix(kind, dim, seed)).mat
         vectors = np.linalg.qr(stream(seed, 1).complex_matrix(dim, rank))[0]
         assert_routes_agree(vectors, h, TimeGrid(t0, t0 + span, steps), proven_interval(h))
@@ -527,6 +528,32 @@ class TestPropagationRoutes:
     def test_negative_times(self):
         h = gue_hamiltonian(64, 171).mat
         assert_routes_agree(stream(172).haar_pure(64)[:, None], h, TimeGrid(-2.5, -0.5, 4), proven_interval(h))
+
+    def test_long_series_at_the_crossover(self):
+        # one point at the largest R |t| the rule still sends to Chebyshev at
+        # d = 512: the series has about 2 d terms, the longest it ever runs
+        dim = 512
+        h = gue_hamiltonian(dim, 179).mat
+        lo, hi = proven_interval(h)
+        half = (hi - lo) / 2
+        x = 2.0 * dim
+        while not dynamics._chebyshev_wins(dim, 1, half, np.array([0.0, x / half])):
+            x -= 1.0
+        assert x > 0.8 * dim
+        vectors = stream(180).haar_pure(dim)[:, None]
+        assert_routes_agree(vectors, h, TimeGrid(0.0, x / half, 1), (lo, hi))
+
+    def test_points_do_not_depend_on_the_grid(self, monkeypatch):
+        h = gue_hamiltonian(64, 181).mat
+        interval = proven_interval(h)
+        vectors = np.linalg.qr(stream(182).complex_matrix(64, 2))[0]
+        times = np.array([-2.0, 0.0, 0.7, 1.5, 3.0])
+        within = list(dynamics._chebyshev_route(vectors, h, times, interval))
+        alone = [next(dynamics._chebyshev_route(vectors, h, times[i : i + 1], interval)) for i in range(times.size)]
+        monkeypatch.setattr(dynamics, "POINTS_BLOCK_BYTES", 2 * 64 * 2 * 16)  # two points per recurrence
+        blocked = list(dynamics._chebyshev_route(vectors, h, times, interval))
+        for a, b, c in zip(within, alone, blocked):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_interval_holds_the_spectrum(self):
         for kind in ("gue", "diagonal", "scalar", "zero"):
@@ -539,22 +566,23 @@ class TestPropagationRoutes:
         h = gue_hamiltonian(256, 174)
         lo, hi = dynamics._lanczos_interval(h.mat)
         center, half = (hi + lo) / 2, (hi - lo) / 2
-        narrowed = (center - 0.83 * half, center + 0.83 * half)
+        narrowed = (center - 0.95 * half, center + 0.95 * half)
         spectrum = np.linalg.eigvalsh(h.mat)
         assert spectrum[0] < narrowed[0] and narrowed[1] < spectrum[-1]
         proven = dynamics._proven_interval(h.mat, *narrowed)
         assert proven[0] <= spectrum[0] and spectrum[-1] <= proven[1]
 
         # unproven, the narrowed series misses the goldens' tolerance, and the
-        # orthonormality check does not notice
+        # orthonormality check does not notice (at 0.83 the series blows up
+        # and the check raises; at 0.95 amplitudes are off by about 4e-10)
         vectors = np.linalg.qr(stream(175).complex_matrix(256, 2))[0]
         grid = TimeGrid(0.0, 2.0, 7)
-        unproven = list(dynamics._chebyshev_route(vectors, h.mat, grid, narrowed))
+        unproven = list(dynamics._chebyshev_route(vectors, h.mat, grid.times(), narrowed))
         exact = list(dynamics._eigh_route(vectors, h.mat, grid.times()))
         assert max(np.abs(a - b).max() for a, b in zip(unproven, exact)) > 1e-12
         assert max(_orthonormality_defect(a) for a in unproven) < UNITARITY_TOL
 
-        # trajectory proves the estimate it is given before it steps
+        # trajectory proves the estimate it is given before it propagates
         layout = FactorLayout((2,) * 8)
         args = (
             pure(stream(176).haar_pure(256)),
@@ -591,7 +619,8 @@ class TestPropagationRoutes:
 class TestChebyshevSeries:
     THETA = np.linspace(0.0, np.pi, 101)
 
-    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-6, 0.3, 1.0, 9.14, 40.0, 200.0, 1500.0])
+    # up to 2 * MAX_TOTAL_DIM: the rule never runs a series longer than 2 d terms
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-6, 0.3, 1.0, 9.14, 40.0, 200.0, 1500.0, 4000.0, 2.0 * MAX_TOTAL_DIM])
     def test_bessel_values_satisfy_jacobi_anger(self, x):
         # exp(i x cos theta) = J_0(x) + 2 sum_{k>=1} i^k J_k(x) cos(k theta),
         # with the series cut where dynamics cuts it; roundoff grows with x
@@ -602,13 +631,13 @@ class TestChebyshevSeries:
         np.testing.assert_allclose(series, want, rtol=0, atol=1e-15 * max(100.0, x))
         assert j.size > x
 
-    @pytest.mark.parametrize("dt", [0.7, -0.7, 3.0, -1e-3, 1e-9])
-    def test_coefficients_expand_one_step(self, dt):
-        # exp(-i dt (center + half y)) = sum_k a_k T_k(y), at y = cos theta
+    @pytest.mark.parametrize("t", [0.7, -0.7, 3.0, -1e-3, 1e-9])
+    def test_coefficients_expand_the_propagator(self, t):
+        # exp(-i t (center + half y)) = sum_k a_k T_k(y), at y = cos theta
         center, half = 1.3, 11.0
-        a = dynamics._chebyshev_coefficients(center, half, dt)
+        a = dynamics._chebyshev_coefficients(center, half, t)
         series = a @ np.cos(np.outer(np.arange(a.size), self.THETA))
-        want = np.exp(-1j * dt * (center + half * np.cos(self.THETA)))
+        want = np.exp(-1j * t * (center + half * np.cos(self.THETA)))
         np.testing.assert_allclose(series, want, rtol=0, atol=1e-13)
 
 
@@ -641,23 +670,59 @@ class TestRouteRule:
 
     # R is about 2 sqrt(d) for a GUE H: 32 at d=256, 64 at d=1024
     @pytest.mark.parametrize(
-        "dim, rank, r_span, steps, chebyshev",
+        "dim, rank, half, t0, t1, steps, chebyshev",
         [
-            (256, 1, 64, 7, True),  # dyn-grouped
-            (1024, 1, 128, 7, True),
-            (1024, 4, 128, 7, True),
-            (4096, 1, 256, 7, True),
-            (16, 1, 16, 5, False),  # small d: eigh is cheaper than any series
-            (256, 256, 64, 7, False),  # rank near d
-            (256, 200, 64, 7, False),
-            (1024, 1000, 128, 7, False),
-            (256, 1, 32 * 50, 7, False),  # long spans
-            (1024, 1, 64 * 50, 7, False),
-            (1024, 1, 128, 400, False),  # many steps
+            (256, 1, 32, 0.0, 2.0, 7, True),  # dyn-grouped
+            (256, 1, 32, -3.0, 1.0, 16, True),
+            (1024, 1, 64, 0.0, 2.0, 7, True),
+            (1024, 4, 64, 0.0, 2.0, 7, True),
+            (1024, 1, 64, 0.0, 2.0, 128, True),
+            (4096, 1, 128, 0.0, 2.0, 7, True),
+            (16, 1, 8, 0.0, 2.0, 5, False),  # small d: eigh is cheaper than any series
+            (256, 256, 32, 0.0, 2.0, 7, False),  # rank near d
+            (256, 200, 32, 0.0, 2.0, 7, False),
+            (1024, 1000, 64, 0.0, 2.0, 7, False),
+            (256, 1, 32, 0.0, 100.0, 7, False),  # long spans
+            (1024, 1, 64, 0.0, 100.0, 7, False),
+            (256, 1, 32, 0.0, 2.0, 128, False),  # many points
         ],
     )
-    def test_route_choice(self, dim, rank, r_span, steps, chebyshev):
-        assert dynamics._chebyshev_wins(dim, rank, r_span, steps) is chebyshev
+    def test_route_choice(self, dim, rank, half, t0, t1, steps, chebyshev):
+        times = TimeGrid(t0, t1, steps).times()
+        assert dynamics._chebyshev_wins(dim, rank, half, times) is chebyshev
+
+    def test_no_lanczos_run_when_no_interval_could_win(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("estimated")
+
+        monkeypatch.setattr(dynamics, "_lanczos_interval", fail)
+        taken = spy_routes(monkeypatch)
+        weights = np.linspace(1.0, 2.0, 32)
+        state = (weights / weights.sum(), np.linalg.qr(stream(183).complex_matrix(64, 32))[0])
+        assert not dynamics._chebyshev_wins(64, 32, 0.0, TimeGrid(0.0, 2.0, 7).times())
+        layout = FactorLayout((2,) * 6)
+        s_a, s_b = structure_from_grouping(layout, (0,)), structure_from_grouping(layout, (0, 1, 2))
+        trajectory(state, gue_hamiltonian(64, 184), TimeGrid(0.0, 2.0, 7), s_a, max_mixed_spec(32), s_b, max_mixed_spec(8))
+        assert taken == ["_eigh_route"]
+
+    def test_a_widened_interval_is_ruled_again(self, monkeypatch):
+        # a proof that widens the interval past the crossover sends the run to eigh
+        layout = FactorLayout((2,) * 8)
+        args = (
+            pure(stream(185).haar_pure(256)),
+            gue_hamiltonian(256, 186),
+            TimeGrid(0.0, 2.0, 7),
+            structure_from_grouping(layout, (0,)),
+            max_mixed_spec(128),
+            structure_from_grouping(layout, (0, 1, 2, 3)),
+            max_mixed_spec(16),
+        )
+        taken = spy_routes(monkeypatch)
+        want = trajectory(*args)
+        proven = dynamics._proven_interval
+        monkeypatch.setattr(dynamics, "_proven_interval", lambda h, lo, hi: tuple(20 * b for b in proven(h, lo, hi)))
+        assert_points_close(trajectory(*args), want, 1e-12)
+        assert taken == ["_chebyshev_route", "_eigh_route"]
 
 
 class TestSchmidtRoute:
