@@ -552,6 +552,7 @@ class TestPropagationRoutes:
         alone = [next(dynamics._chebyshev_route(vectors, h, times[i : i + 1], interval)) for i in range(times.size)]
         monkeypatch.setattr(dynamics, "POINTS_BLOCK_BYTES", 2 * 64 * 2 * 16)  # two points per recurrence
         blocked = list(dynamics._chebyshev_route(vectors, h, times, interval))
+        assert len(within) == len(blocked) == times.size
         for a, b, c in zip(within, alone, blocked):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -685,6 +686,7 @@ class TestRouteRule:
             (256, 1, 32, 0.0, 100.0, 7, False),  # long spans
             (1024, 1, 64, 0.0, 100.0, 7, False),
             (256, 1, 32, 0.0, 2.0, 128, False),  # many points
+            (4096, 64, 128, 0.0, 2.0, 32, False),  # 9 blocks of 4 points, one recurrence each
         ],
     )
     def test_route_choice(self, dim, rank, half, t0, t1, steps, chebyshev):
