@@ -74,7 +74,7 @@ def spy_routes(monkeypatch) -> list[str]:
 
 
 def force_route(monkeypatch, chebyshev: bool) -> list[str]:
-    """Make ``trajectory`` propagate by Chebyshev steps (True) or by eigh
+    """Make ``trajectory`` propagate by a Chebyshev series (True) or by eigh
     (False) whatever the route rule says; returns :func:`spy_routes`' list."""
     monkeypatch.setattr(dynamics, "_chebyshev_wins", lambda *args: chebyshev)
     return spy_routes(monkeypatch)

@@ -536,9 +536,8 @@ class TestPropagationRoutes:
         h = gue_hamiltonian(dim, 179).mat
         lo, hi = proven_interval(h)
         half = (hi - lo) / 2
-        x = 2.0 * dim
-        while not dynamics._chebyshev_wins(dim, 1, half, np.array([0.0, x / half])):
-            x -= 1.0
+        wins = (x for x in range(2 * dim, 0, -1) if dynamics._chebyshev_wins(dim, 1, half, np.array([0.0, x / half])))
+        x = next(wins, 0)
         assert x > 0.8 * dim
         vectors = stream(180).haar_pure(dim)[:, None]
         assert_routes_agree(vectors, h, TimeGrid(0.0, x / half, 1), (lo, hi))
