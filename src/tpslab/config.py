@@ -1,9 +1,18 @@
 """Scenario configuration: JSON parsing with strict validation.
 
-Configs are UTF-8 JSON objects with a mandatory ``"version": 1``.  Unknown
-keys are fatal everywhere -- there is no silent typo tolerance.  File paths
+Configs are UTF-8 JSON objects with a mandatory ``"version": 1`` (the
+integer; ``true`` and ``1.0`` are rejected).  Unknown keys are fatal
+everywhere, and so is a key repeated within one object, whose last value
+plain ``json`` would keep -- there is no silent typo tolerance.  File paths
 inside a config resolve relative to the config file's directory; the output
 directory resolves relative to the working directory.
+
+Two tables describe the schema.  ``SCENARIOS`` gives each scenario its own
+keys, in the order ``load_config`` parses and echoes them, and the ones it
+requires; ``_INITIAL_STATE_KEYS`` does the same for each ``initial_state``
+kind.  ``_require_object`` checks every JSON object against its allowed
+and required keys, and reports the first missing key in table order, so an
+error does not depend on the hash seed.
 
 The one accepted projection form is type I, ``{"kind": "type_i",
 "rho_ref": "maximally_mixed" | {"file": path}}``; the sweeps take only
@@ -24,9 +33,10 @@ before anything is allocated.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,39 +53,48 @@ from .structures import (
     structure_from_grouping,
 )
 
-SCENARIOS = ("teleport-check", "lemma1-sweep", "lemma2-sweep", "qcr-demo", "dynamics-trace")
-
 _MAX_SEED = (1 << 64) - 1
 MAX_TOTAL_DIM = 4096
 
-# Keys admitted per scenario, beyond the common required set.
-_COMMON_KEYS = {"version", "scenario", "base_seed", "output_dir", "trials"}
-_SCENARIO_KEYS = {
-    "teleport-check": {"input_qubit", "layout"},
-    "lemma1-sweep": {"layout", "structure_a", "projection_a"},
-    "lemma2-sweep": {"layout", "structure_a", "projection_a"},
-    "qcr-demo": {"layout", "structure_a"},
-    "dynamics-trace": {
-        "layout",
-        "structure_a",
-        "structure_b",
-        "projection_a",
-        "projection_b",
-        "hamiltonian",
-        "initial_state",
-        "time_grid",
-    },
-}
-_REQUIRED_KEYS = {
-    "teleport-check": set(),
-    "lemma1-sweep": {"layout", "trials"},
-    "lemma2-sweep": {"layout", "trials"},
-    "qcr-demo": {"layout", "trials"},
-    "dynamics-trace": {"layout", "structure_a", "structure_b", "hamiltonian", "initial_state", "time_grid"},
+# The keys every scenario shares, in echo order; a scenario's own keys
+# follow them, and output_dir is echoed last.
+_COMMON_KEYS = ("version", "scenario", "base_seed", "trials")
+
+# Each scenario's own keys in echo order (the order load_config parses them
+# in), and the keys it requires besides version, scenario, base_seed and
+# output_dir, which every scenario requires.
+SCENARIOS = {
+    "teleport-check": (("layout", "input_qubit"), ()),
+    "lemma1-sweep": (("layout", "structure_a", "projection_a"), ("trials", "layout")),
+    "lemma2-sweep": (("layout", "structure_a", "projection_a"), ("trials", "layout")),
+    "qcr-demo": (("layout", "structure_a"), ("trials", "layout")),
+    "dynamics-trace": (
+        ("layout", "structure_a", "structure_b", "projection_a", "projection_b", "hamiltonian", "initial_state", "time_grid"),
+        ("layout", "structure_a", "structure_b", "hamiltonian", "initial_state", "time_grid"),
+    ),
 }
 
 _MAXIMALLY_MIXED = "maximally_mixed"
+_DEFAULT_PROJECTION = {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED}
+# What an absent optional key stands for (layout is optional only for
+# teleport-check, which takes [2, 2, 2] only).  An absent input_qubit is
+# |0>, the ScenarioConfig default, and is not echoed.
+_DEFAULTS = {
+    "trials": 1,
+    "layout": [2, 2, 2],
+    "structure_a": {"grouping": [0]},
+    "projection_a": _DEFAULT_PROJECTION,
+    "projection_b": _DEFAULT_PROJECTION,
+}
 _DEFAULT_INPUT_QUBIT = (1.0, 0.0)  # |0>, the teleported qubit when none is given
+
+# The keys each initial_state kind allows beside "kind", and those it requires.
+_INITIAL_STATE_KEYS = {
+    "teleport": (("input_qubit",), ()),
+    "random_pure": (("seed",), ("seed",)),
+    "random_density": (("seed", "rank"), ("seed", "rank")),
+    "maximally_mixed": ((), ()),
+}
 
 
 class ConfigError(ValueError):
@@ -99,7 +118,7 @@ class ScenarioConfig:
     hamiltonian: Hamiltonian | None = None
     initial_state: tuple[np.ndarray, np.ndarray] | None = None
     time_grid: TimeGrid | None = None
-    input_qubit: np.ndarray | None = None
+    input_qubit: np.ndarray = field(default_factory=lambda: np.array(_DEFAULT_INPUT_QUBIT, dtype=np.complex128))
 
 
 def _require_int(obj, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
@@ -118,16 +137,46 @@ def _require_number(obj, name: str) -> float:
     return float(obj)
 
 
-def _require_object(obj, name: str, allowed: set[str]) -> dict:
+def _require_object(obj, name: str, allowed, required=()) -> dict:
+    """``obj`` as a JSON object whose keys all lie in ``allowed`` and which
+    has every key of ``required``; the first missing key in ``required``'s
+    order is the one reported.  ``name`` is empty for the top level."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{name}: must be a JSON object, got {type(obj).__name__}")
+    where = f"{name}: " if name else ""
     for key in obj:
         if key not in allowed:
-            raise ConfigError(f"{name}: unknown config key: {key!r}")
+            raise ConfigError(f"{where}unknown config key: {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}missing required config key: {key}")
     return obj
 
 
-def _parse_layout(obj, name: str) -> FactorLayout:
+# Each parser below reads one top-level key.  It takes ``(obj, name, v,
+# base_dir)``, ``v`` holding the scenario name and the values of the keys
+# parsed before this one, and gives ``(value, echo)``.
+
+
+def _parse_base_seed(obj, name: str, v: dict, base_dir: Path):
+    seed = _require_int(obj, name, minimum=0, maximum=_MAX_SEED)
+    return seed, seed
+
+
+def _parse_trials(obj, name: str, v: dict, base_dir: Path):
+    trials = _require_int(obj, name, minimum=1)
+    if v["scenario"] == "dynamics-trace" and trials != 1:
+        raise ConfigError("trials: dynamics-trace runs a single trajectory (trials must be 1)")
+    return trials, trials
+
+
+def _parse_output_dir(obj, name: str, v: dict, base_dir: Path):
+    if not isinstance(obj, str) or not obj:
+        raise ConfigError(f"{name}: must be a nonempty string")
+    return Path(obj), obj
+
+
+def _parse_layout(obj, name: str, v: dict, base_dir: Path):
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{name}: must be a nonempty list of factor dims")
     dims = tuple(_require_int(d, f"{name} entry", minimum=2) for d in obj)
@@ -136,20 +185,23 @@ def _parse_layout(obj, name: str) -> FactorLayout:
     total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
         raise ConfigError(f"{name}: total dimension {total} exceeds the cap of {MAX_TOTAL_DIM}")
-    return FactorLayout(dims)
+    if v["scenario"] == "teleport-check" and dims != (2, 2, 2):
+        raise ConfigError(f"{name}: teleport-check is defined on [2, 2, 2]")
+    return FactorLayout(dims), list(dims)
 
 
-def _parse_structure(obj, name: str, layout: FactorLayout, base_dir: Path) -> Structure:
-    obj = _require_object(obj, name, {"grouping", "unitary_file"})
+def _parse_structure(obj, name: str, v: dict, base_dir: Path):
+    obj = _require_object(obj, name, ("grouping", "unitary_file"))
     if ("grouping" in obj) == ("unitary_file" in obj):
         raise ConfigError(f"{name}: give exactly one of 'grouping' or 'unitary_file'")
+    layout = v["layout"]
     if "grouping" in obj:
         indices = obj["grouping"]
         if not isinstance(indices, list) or not indices:
             raise ConfigError(f"{name}.grouping: must be a nonempty list of factor positions")
         indices = [_require_int(i, f"{name}.grouping entry", minimum=0) for i in indices]
         try:
-            return structure_from_grouping(layout, indices)
+            return structure_from_grouping(layout, indices), obj
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     path = base_dir / str(obj["unitary_file"])
@@ -163,13 +215,11 @@ def _parse_structure(obj, name: str, layout: FactorLayout, base_dir: Path) -> St
         raise ConfigError(
             f"{name}: unitary dim {s.total_dim} does not match layout dim {layout.total_dim}"
         )
-    return s
+    return s, obj
 
 
 def _read_square_matrix(spec, name: str, base_dir: Path) -> np.ndarray:
-    spec = _require_object(spec, name, {"file"})
-    if "file" not in spec:
-        raise ConfigError(f"{name}: expected {{'file': path}}")
+    spec = _require_object(spec, name, ("file",), ("file",))
     path = base_dir / str(spec["file"])
     if not path.is_file():
         raise ConfigError(f"{name}.file: no such file: {path}")
@@ -180,68 +230,75 @@ def _read_square_matrix(spec, name: str, base_dir: Path) -> np.ndarray:
     return m
 
 
-def _parse_projection(obj, name: str, s: Structure, base_dir: Path) -> TypeIProjection:
+def _parse_projection(obj, name: str, v: dict, base_dir: Path):
+    """The type I projection for the structure of the same letter.  The
+    sweeps draw a random alternate split per trial, so they take only the
+    dimension-generic maximally mixed reference, and echo it normalized."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{name}: must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind != "type_i":
-        raise ConfigError(
-            f"{name}: dynamics-trace requires kind 'type_i' (the commutator column"
-            f" is defined for that family only), got {kind!r}"
-        )
-    obj = _require_object(obj, name, {"kind", "rho_ref"})
+        raise ConfigError(f"{name}: kind must be 'type_i', the one projection family the CLI builds, got {kind!r}")
+    obj = _require_object(obj, name, ("kind", "rho_ref"))
     ref = obj.get("rho_ref", _MAXIMALLY_MIXED)
+    if v["scenario"] != "dynamics-trace":
+        if ref != _MAXIMALLY_MIXED:
+            raise ConfigError(
+                f"{name}: sweeps require {_DEFAULT_PROJECTION}"
+                " (per-trial random alternate splits need a dimension-generic reference)"
+            )
+        obj = dict(_DEFAULT_PROJECTION)
+    s = v[name.replace("projection", "structure")]
     if ref == _MAXIMALLY_MIXED:
-        return TypeIProjection(maximally_mixed(s.dim_e))
+        return TypeIProjection(maximally_mixed(s.dim_e)), obj
     m = _read_square_matrix(ref, f"{name}.rho_ref", base_dir)
     if m.shape[0] != s.dim_e:
         raise ConfigError(
             f"{name}.rho_ref: dim {m.shape[0]} does not match environment dim {s.dim_e}"
         )
     try:
-        return TypeIProjection(m)
+        return TypeIProjection(m), obj
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_hamiltonian(obj, name: str, total_dim: int, base_dir: Path) -> Hamiltonian:
-    obj = _require_object(obj, name, {"gue_seed", "file"})
+def _parse_hamiltonian(obj, name: str, v: dict, base_dir: Path):
+    obj = _require_object(obj, name, ("gue_seed", "file"))
     if ("gue_seed" in obj) == ("file" in obj):
         raise ConfigError(f"{name}: give exactly one of 'gue_seed' or 'file'")
+    total_dim = v["layout"].total_dim
     if "gue_seed" in obj:
         seed = _require_int(obj["gue_seed"], f"{name}.gue_seed", minimum=0, maximum=_MAX_SEED)
-        return Hamiltonian(RandomStream(seed).gue(total_dim))
-    m = _read_square_matrix({"file": obj["file"]}, f"{name}.file", base_dir)
+        return Hamiltonian(RandomStream(seed).gue(total_dim)), obj
+    m = _read_square_matrix(obj, name, base_dir)
     if m.shape[0] != total_dim:
         raise ConfigError(f"{name}: dim {m.shape[0]} does not match layout dim {total_dim}")
     try:
-        return Hamiltonian(m)
+        return Hamiltonian(m), obj
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_time_grid(obj, name: str, h: Hamiltonian) -> TimeGrid:
+def _parse_time_grid(obj, name: str, v: dict, base_dir: Path):
     """The grid, rejected when a phase ``w * t`` of the propagator could
     overflow; the largest absolute row sum of H bounds every eigenvalue."""
-    obj = _require_object(obj, name, {"t0", "t1", "steps"})
-    for key in ("t0", "t1", "steps"):
-        if key not in obj:
-            raise ConfigError(f"{name}.{key}: missing")
+    keys = ("t0", "t1", "steps")
+    obj = _require_object(obj, name, keys, keys)
     steps = _require_int(obj["steps"], f"{name}.steps", minimum=1)
     try:
         grid = TimeGrid(_require_number(obj["t0"], f"{name}.t0"), _require_number(obj["t1"], f"{name}.t1"), steps)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     t_max = max(abs(grid.t0), abs(grid.t1))
-    h_bound = float(np.abs(h.mat).sum(axis=1).max())
+    h_bound = float(np.abs(v["hamiltonian"].mat).sum(axis=1).max())
     if not math.isfinite(t_max * h_bound):
         raise ConfigError(
             f"{name}: propagator phases overflow (max |t| = {t_max:.3e}, ||H|| <= {h_bound:.3e})"
         )
-    return grid
+    return grid, {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps}
 
 
-def _parse_qubit(obj, name: str) -> np.ndarray:
+def _parse_qubit(obj, name: str, v: dict | None = None, base_dir: Path | None = None):
     if not isinstance(obj, list) or len(obj) != 2:
         raise ConfigError(f"{name}: must be [[re, im], [re, im]]")
     amps = []
@@ -253,59 +310,57 @@ def _parse_qubit(obj, name: str) -> np.ndarray:
     norm2 = float(np.vdot(vec, vec).real)
     if abs(norm2 - 1.0) > PURE_NORM_TOL:
         raise ConfigError(f"{name}: not normalized (||u||^2 = {norm2:.15g})")
-    return vec
+    return vec, [[float(a.real), float(a.imag)] for a in vec]
 
 
 def _pure(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ones(1), psi[:, None]
 
 
-def _parse_initial_state(
-    obj, name: str, layout: FactorLayout
-) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+def _parse_initial_state(obj, name: str, v: dict, base_dir: Path):
     """The initial state as its eigen-ensemble ``(weights, vectors)``, and
     its config echo."""
-    obj = _require_object(obj, name, {"kind", "seed", "rank", "input_qubit"})
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    if kind not in _INITIAL_STATE_KEYS:
+        raise ConfigError(f"{name}.kind: must be one of {', '.join(_INITIAL_STATE_KEYS)}, got {kind!r}")
+    allowed, required = _INITIAL_STATE_KEYS[kind]
+    _require_object(obj, f"{name} (kind {kind!r})", ("kind", *allowed), required)
+    echo: dict = {"kind": kind}
+    layout = v["layout"]
     total = layout.total_dim
     if kind == "teleport":
         if layout.dims != (2, 2, 2):
             raise ConfigError(f"{name}: kind 'teleport' needs layout [2, 2, 2]")
-        echo: dict = {"kind": "teleport"}
         u = np.array(_DEFAULT_INPUT_QUBIT, dtype=np.complex128)
         if "input_qubit" in obj:
-            u = _parse_qubit(obj["input_qubit"], f"{name}.input_qubit")
-            echo["input_qubit"] = [[float(a.real), float(a.imag)] for a in u]
-        for key in ("seed", "rank"):
-            if key in obj:
-                raise ConfigError(f"{name}.{key}: not allowed for kind 'teleport'")
+            u, echo["input_qubit"] = _parse_qubit(obj["input_qubit"], f"{name}.input_qubit")
         return _pure(teleport_state(u)), echo
-    if kind == "random_pure":
-        if "seed" not in obj:
-            raise ConfigError(f"{name}.seed: required for kind 'random_pure'")
-        if "rank" in obj or "input_qubit" in obj:
-            raise ConfigError(f"{name}: only 'seed' is allowed for kind 'random_pure'")
-        seed = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
-        return _pure(RandomStream(seed).haar_pure(total)), {"kind": "random_pure", "seed": seed}
-    if kind == "random_density":
-        if "seed" not in obj or "rank" not in obj:
-            raise ConfigError(f"{name}: kind 'random_density' needs 'seed' and 'rank'")
-        if "input_qubit" in obj:
-            raise ConfigError(f"{name}.input_qubit: not allowed for kind 'random_density'")
-        seed = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
-        rank = _require_int(obj["rank"], f"{name}.rank", minimum=1, maximum=total)
-        ensemble = RandomStream(seed).ginibre_ensemble(total, rank)
-        return ensemble, {"kind": "random_density", "seed": seed, "rank": rank}
     if kind == "maximally_mixed":
-        for key in ("seed", "rank", "input_qubit"):
-            if key in obj:
-                raise ConfigError(f"{name}.{key}: not allowed for kind 'maximally_mixed'")
-        ensemble = (np.full(total, 1.0 / total), np.eye(total, dtype=np.complex128))
-        return ensemble, {"kind": "maximally_mixed"}
-    raise ConfigError(
-        f"{name}.kind: must be one of teleport, random_pure, random_density,"
-        f" maximally_mixed, got {kind!r}"
-    )
+        return (np.full(total, 1.0 / total), np.eye(total, dtype=np.complex128)), echo
+    echo["seed"] = _require_int(obj["seed"], f"{name}.seed", minimum=0, maximum=_MAX_SEED)
+    stream = RandomStream(echo["seed"])
+    if kind == "random_pure":
+        return _pure(stream.haar_pure(total)), echo
+    echo["rank"] = _require_int(obj["rank"], f"{name}.rank", minimum=1, maximum=total)
+    return stream.ginibre_ensemble(total, echo["rank"]), echo
+
+
+_PARSERS = {
+    "base_seed": _parse_base_seed,
+    "trials": _parse_trials,
+    "layout": _parse_layout,
+    "input_qubit": _parse_qubit,
+    "structure_a": _parse_structure,
+    "structure_b": _parse_structure,
+    "projection_a": _parse_projection,
+    "projection_b": _parse_projection,
+    "hamiltonian": _parse_hamiltonian,
+    "initial_state": _parse_initial_state,
+    "time_grid": _parse_time_grid,
+    "output_dir": _parse_output_dir,
+}
 
 
 def _reject_non_finite(token: str):
@@ -318,6 +373,17 @@ def _finite_float(token: str) -> float:
     if not math.isfinite(value):
         _reject_non_finite(token)
     return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose names are unique; a repeated name is rejected,
+    where plain ``json`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_config(
@@ -339,8 +405,10 @@ def load_config(
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        raw = json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float)
-    except ValueError as exc:  # JSONDecodeError, or a non-finite number
+        raw = json.loads(
+            text, parse_constant=_reject_non_finite, parse_float=_finite_float, object_pairs_hook=_unique_keys
+        )
+    except ValueError as exc:  # JSONDecodeError, a non-finite number or a duplicate key
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -354,87 +422,19 @@ def load_config(
 
     if "version" not in raw:
         raise ConfigError("version: missing (expected 1)")
-    if raw["version"] != 1:
+    if type(raw["version"]) is not int or raw["version"] != 1:
         raise ConfigError(f"version: expected 1, got {raw['version']!r}")
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
 
-    allowed = _COMMON_KEYS | _SCENARIO_KEYS[scenario]
-    for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {key!r}")
-    for key in ("base_seed", "output_dir"):
-        if key not in raw:
-            raise ConfigError(f"missing required config key: {key}")
-    for key in _REQUIRED_KEYS[scenario]:
-        if key not in raw:
-            raise ConfigError(f"missing required config key: {key}")
-
-    base_seed = _require_int(raw["base_seed"], "base_seed", minimum=0, maximum=_MAX_SEED)
-    if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
-        raise ConfigError("output_dir: must be a nonempty string")
-    output_dir = Path(raw["output_dir"])
-    trials = _require_int(raw.get("trials", 1), "trials", minimum=1)
-    base_dir = path.parent
-
-    echo: dict = {"version": 1, "scenario": scenario, "base_seed": base_seed, "trials": trials}
-    cfg = ScenarioConfig(
-        scenario=scenario,
-        base_seed=base_seed,
-        trials=trials,
-        output_dir=output_dir,
-        echo=echo,
-    )
-
-    if scenario == "teleport-check":
-        if "layout" in raw:
-            layout = _parse_layout(raw["layout"], "layout")
-            if layout.dims != (2, 2, 2):
-                raise ConfigError("layout: teleport-check is defined on [2, 2, 2]")
-        cfg.layout = FactorLayout((2, 2, 2))
-        echo["layout"] = [2, 2, 2]
-        cfg.input_qubit = np.array(_DEFAULT_INPUT_QUBIT, dtype=np.complex128)
-        if "input_qubit" in raw:
-            cfg.input_qubit = _parse_qubit(raw["input_qubit"], "input_qubit")
-            echo["input_qubit"] = [[float(a.real), float(a.imag)] for a in cfg.input_qubit]
-    else:
-        layout = _parse_layout(raw["layout"], "layout")
-        cfg.layout = layout
-        echo["layout"] = list(layout.dims)
-        structure_a_raw = raw.get("structure_a", {"grouping": [0]})
-        cfg.structure_a = _parse_structure(structure_a_raw, "structure_a", layout, base_dir)
-        echo["structure_a"] = structure_a_raw
-
-    if scenario in ("lemma1-sweep", "lemma2-sweep"):
-        proj_raw = raw.get("projection_a", {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED})
-        proj_obj = _require_object(proj_raw, "projection_a", {"kind", "rho_ref"})
-        if proj_obj.get("kind") != "type_i" or proj_obj.get("rho_ref", _MAXIMALLY_MIXED) != _MAXIMALLY_MIXED:
-            raise ConfigError(
-                "projection_a: sweeps require {'kind': 'type_i', 'rho_ref': 'maximally_mixed'}"
-                " (per-trial random alternate splits need a dimension-generic reference)"
-            )
-        cfg.projection_a = TypeIProjection(maximally_mixed(cfg.structure_a.dim_e))
-        echo["projection_a"] = {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED}
-
-    if scenario == "dynamics-trace":
-        if trials != 1:
-            raise ConfigError("trials: dynamics-trace runs a single trajectory (trials must be 1)")
-        cfg.structure_b = _parse_structure(raw["structure_b"], "structure_b", cfg.layout, base_dir)
-        echo["structure_b"] = raw["structure_b"]
-        proj_a_raw = raw.get("projection_a", {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED})
-        proj_b_raw = raw.get("projection_b", {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED})
-        cfg.projection_a = _parse_projection(proj_a_raw, "projection_a", cfg.structure_a, base_dir)
-        cfg.projection_b = _parse_projection(proj_b_raw, "projection_b", cfg.structure_b, base_dir)
-        echo["projection_a"] = proj_a_raw
-        echo["projection_b"] = proj_b_raw
-        cfg.hamiltonian = _parse_hamiltonian(raw["hamiltonian"], "hamiltonian", cfg.layout.total_dim, base_dir)
-        echo["hamiltonian"] = raw["hamiltonian"]
-        cfg.initial_state, echo["initial_state"] = _parse_initial_state(
-            raw["initial_state"], "initial_state", cfg.layout
-        )
-        cfg.time_grid = _parse_time_grid(raw["time_grid"], "time_grid", cfg.hamiltonian)
-        echo["time_grid"] = {"t0": cfg.time_grid.t0, "t1": cfg.time_grid.t1, "steps": cfg.time_grid.steps}
-
-    echo["output_dir"] = str(raw["output_dir"])
-    return cfg
+    own, required = SCENARIOS[scenario]
+    keys = (*_COMMON_KEYS, *own, "output_dir")
+    _require_object(raw, "", keys, ("base_seed", *required, "output_dir"))
+    values: dict = {"scenario": scenario}
+    echo: dict = {"version": 1, "scenario": scenario}
+    for key in keys[2:]:  # version and scenario are checked above
+        if key in raw or key in _DEFAULTS:
+            obj = raw[key] if key in raw else copy.deepcopy(_DEFAULTS[key])
+            values[key], echo[key] = _PARSERS[key](obj, key, values, path.parent)
+    return ScenarioConfig(echo=echo, **values)

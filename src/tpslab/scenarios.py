@@ -40,7 +40,7 @@ import functools
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +170,10 @@ def run_scenario(cfg: ScenarioConfig) -> ReportPaths:
         "results": results,
     }
     return write_report(cfg.output_dir, summary, header, rows)
+
+
+def _fraction_above_threshold(values) -> float:
+    return sum(v > DEFECT_THRESHOLD for v in values) / len(values)
 
 
 def _descending(values: np.ndarray) -> list[float]:
@@ -390,8 +394,8 @@ def _lemma1_sweep(cfg: ScenarioConfig):
         "trials": cfg.trials,
         "threshold": DEFECT_THRESHOLD,
         "state_policy": "alternating Haar pure / Ginibre rank-2",
-        "fraction_above_threshold": sum(d > DEFECT_THRESHOLD for d in d_ab) / cfg.trials,
-        "fraction_above_threshold_b_to_a": sum(r[3] > DEFECT_THRESHOLD for r in rows) / cfg.trials,
+        "fraction_above_threshold": _fraction_above_threshold(d_ab),
+        "fraction_above_threshold_b_to_a": _fraction_above_threshold([r[3] for r in rows]),
         "defect_a_to_b_mean": float(np.mean(d_ab)),
         "defect_a_to_b_min": min(d_ab),
         "defect_a_to_b_max": max(d_ab),
@@ -421,7 +425,7 @@ def _lemma2_sweep(cfg: ScenarioConfig):
         "trials": cfg.trials,
         "threshold": DEFECT_THRESHOLD,
         "state_policy": "alternating Haar pure / Ginibre rank-2",
-        "fraction_above_threshold": sum(d > DEFECT_THRESHOLD for d in defects) / cfg.trials,
+        "fraction_above_threshold": _fraction_above_threshold(defects),
         "commutator_defect_mean": float(np.mean(defects)),
         "commutator_defect_min": min(defects),
         "commutator_defect_max": max(defects),
@@ -453,7 +457,7 @@ def _qcr_demo(cfg: ScenarioConfig):
     results = {
         "trials": cfg.trials,
         "threshold": DEFECT_THRESHOLD,
-        "fraction_above_threshold": sum(v > DEFECT_THRESHOLD for v in alt) / cfg.trials,
+        "fraction_above_threshold": _fraction_above_threshold(alt),
         "mi_own_structure_max": max(r[1] for r in rows),
         "mi_alternate_mean": float(np.mean(alt)),
         "mi_alternate_min": min(alt),
@@ -483,25 +487,12 @@ def _dynamics_trace(cfg: ScenarioConfig):
         "purity_S",
         "purity_Sprime",
     ]
-    rows = [
-        [
-            p.t,
-            p.lemma1_a_to_b,
-            p.lemma1_b_to_a,
-            p.lemma1_trace_residual_max,
-            p.lemma2_defect,
-            p.mi_a,
-            p.mi_b,
-            p.purity_s,
-            p.purity_sprime,
-        ]
-        for p in points
-    ]
+    rows = [astuple(p) for p in points]  # fields in header order
     d_ab = [p.lemma1_a_to_b for p in points]
     results = {
         "points": len(points),
         "threshold": DEFECT_THRESHOLD,
-        "fraction_lemma1_above_threshold": sum(d > DEFECT_THRESHOLD for d in d_ab) / len(points),
+        "fraction_lemma1_above_threshold": _fraction_above_threshold(d_ab),
         "lemma1_a_to_b_max": max(d_ab),
         "lemma1_a_to_b_min": min(d_ab),
         "trace_residual_max": max(p.lemma1_trace_residual_max for p in points),

@@ -128,10 +128,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_process(args, cwd):
+def run_process(args, cwd, **env_vars):
     """``python -m tpslab.cli`` in a new process, importing the package from
-    ``src``: the module's ``__main__`` guard calls ``entry()``."""
+    ``src``: the module's ``__main__`` guard calls ``entry()``.  ``env_vars``
+    are added to its environment."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.update(env_vars)
     return subprocess.run(
         [sys.executable, "-m", "tpslab.cli", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
@@ -156,3 +158,17 @@ def test_process_entry_rejects_a_bad_config_with_one_json_line(tmp_path):
     assert json.loads(lines[0])["error"] == "config"
     assert proc.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_missing_key_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # several required keys are missing; the error names the first in the
+    # scenario's key table order, whatever order a set would iterate in
+    config = tmp_path / "dyn.json"
+    cfg = {"version": 1, "scenario": "dynamics-trace", "base_seed": 0, "output_dir": "out", "layout": [2, 2]}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    errors = set()
+    for hash_seed in range(8):
+        proc = run_process(["validate", str(config)], tmp_path, PYTHONHASHSEED=str(hash_seed))
+        assert proc.returncode == 1
+        errors.add(proc.stderr)
+    assert errors == {json.dumps({"error": "config", "message": "missing required config key: structure_a"}) + "\n"}

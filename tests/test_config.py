@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tpslab import load_config
+from tpslab import config, load_config
 from tpslab.cli import main
 
 
@@ -106,9 +106,9 @@ def test_each_initial_state_kind_runs(tmp_path, capsys, kind):
 @pytest.mark.parametrize(
     "state, fragment",
     [
-        ({"kind": "random_pure"}, "initial_state.seed: required for kind 'random_pure'"),
-        ({"kind": "random_density", "rank": 2}, "initial_state: kind 'random_density' needs 'seed' and 'rank'"),
-        ({"kind": "random_density", "seed": 1}, "initial_state: kind 'random_density' needs 'seed' and 'rank'"),
+        ({"kind": "random_pure"}, "initial_state (kind 'random_pure'): missing required config key: seed"),
+        ({"kind": "random_density", "rank": 2}, "initial_state (kind 'random_density'): missing required config key: seed"),
+        ({"kind": "random_density", "seed": 1}, "initial_state (kind 'random_density'): missing required config key: rank"),
         ({"kind": "random_density", "seed": 1, "rank": 9}, "initial_state.rank: must be <= 8, got 9"),
         ({"kind": "random_density", "seed": 1, "rank": 0}, "initial_state.rank: must be >= 1, got 0"),
     ],
@@ -153,3 +153,77 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
 )
 def test_overflowing_time_grid_is_a_config_error(tmp_path, capsys, grid, fragment):
     assert fragment in config_error(tmp_path, capsys, dynamics_config(time_grid=grid))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(dynamics_config(trials=1)).replace('"trials": 1', '"trials": 1, "trials": 5'),
+        json.dumps(dynamics_config()).replace('"gue_seed": 3', '"gue_seed": 1, "gue_seed": 2'),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_duplicate_key_is_a_config_error(tmp_path, capsys, text):
+    message = config_error(tmp_path, capsys, text.encode("utf-8"))
+    assert "duplicate key" in message
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_version_must_be_the_integer_1(tmp_path, capsys, version):
+    assert config_error(tmp_path, capsys, dynamics_config(version=version)) == f"version: expected 1, got {version!r}"
+
+
+# A valid value for every key of every scenario; a scenario's config takes
+# the values of the keys the table lists for it.
+VALID_VALUES = {
+    "version": 1,
+    "base_seed": 0,
+    "trials": 1,
+    "output_dir": "out",
+    "layout": [2, 2, 2],
+    "input_qubit": [[0.6, 0.0], [0.0, 0.8]],
+    "structure_a": {"grouping": [0]},
+    "structure_b": {"grouping": [0, 1]},
+    "projection_a": {"kind": "type_i", "rho_ref": "maximally_mixed"},
+    "projection_b": {"kind": "type_i", "rho_ref": "maximally_mixed"},
+    "hamiltonian": {"gue_seed": 3},
+    "initial_state": {"kind": "random_pure", "seed": 5},
+    "time_grid": {"t0": 0.0, "t1": 1.0, "steps": 2},
+}
+
+
+def validate_error(tmp_path, capsys, cfg) -> str:
+    """``validate`` a config that must be rejected; returns the error message."""
+    assert main(["validate", write(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    return error["message"]
+
+
+@pytest.mark.parametrize("scenario", list(config.SCENARIOS))
+def test_scenario_key_table(tmp_path, capsys, scenario):
+    own, required = config.SCENARIOS[scenario]
+    keys = [*config._COMMON_KEYS, *own, "output_dir"]
+    values = {**VALID_VALUES, "scenario": scenario}
+    # written in reverse, so that the echo order can only come from the table
+    full = {key: values[key] for key in reversed(keys)}
+
+    assert main(["validate", write(tmp_path, full)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == keys
+
+    for key in keys[2:]:
+        cfg = {k: v for k, v in full.items() if k != key}
+        if key in ("base_seed", *required, "output_dir"):
+            assert validate_error(tmp_path, capsys, cfg) == f"missing required config key: {key}"
+        else:
+            assert main(["validate", write(tmp_path, cfg)]) == 0, capsys.readouterr().err
+            capsys.readouterr()
+
+    other_keys = {k for o, _ in config.SCENARIOS.values() for k in o} - set(keys)
+    for key in ["bogus", *sorted(other_keys)]:
+        cfg = {**full, key: VALID_VALUES.get(key, 1)}
+        assert validate_error(tmp_path, capsys, cfg) == f"unknown config key: {key!r}"
