@@ -8,15 +8,18 @@ inside a config resolve relative to the config file's directory; the output
 directory resolves relative to the working directory.
 
 Two tables describe the schema.  ``SCENARIOS`` gives each scenario its own
-keys, in the order ``load_config`` parses and echoes them, and the ones it
-requires; ``_INITIAL_STATE_KEYS`` does the same for each ``initial_state``
-kind.  ``_require_object`` checks every JSON object against its allowed
-and required keys, and reports the first missing key in table order, so an
-error does not depend on the hash seed.
+keys, in the order ``load_config`` parses and echoes them, the ones it
+requires, and the one echo it admits for some keys (teleport-check's
+layout, dynamics-trace's trials, the sweeps' projection);
+``_INITIAL_STATE_KEYS`` gives the allowed and required keys of each
+``initial_state`` kind.  ``_require_object`` checks every JSON object
+against its allowed and required keys, and reports the first missing key in
+table order, so an error does not depend on the hash seed.
 
 The one accepted projection form is type I, ``{"kind": "type_i",
-"rho_ref": "maximally_mixed" | {"file": path}}``; the sweeps take only
-``"maximally_mixed"``.  Any other kind is rejected before its files are read.
+"rho_ref": "maximally_mixed" | {"file": path}}``, echoed with its
+``rho_ref``; the sweeps take only ``"maximally_mixed"``.  Any other kind is
+rejected before its files are read.
 ``load_config`` builds every input a scenario runs on.  The
 ``dynamics-trace`` initial state is kept as its eigen-ensemble
 ``(weights, vectors)``, the state being ``sum_k weights[k] |psi_k><psi_k|``
@@ -60,25 +63,31 @@ MAX_TOTAL_DIM = 4096
 # follow them, and output_dir is echoed last.
 _COMMON_KEYS = ("version", "scenario", "base_seed", "trials")
 
+_MAXIMALLY_MIXED = "maximally_mixed"
+_DEFAULT_PROJECTION = {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED}
+_SWEEP_FIXED = {"projection_a": _DEFAULT_PROJECTION}
+
 # Each scenario's own keys in echo order (the order load_config parses them
-# in), and the keys it requires besides version, scenario, base_seed and
-# output_dir, which every scenario requires.
+# in); the keys it requires besides version, scenario, base_seed and
+# output_dir, which every scenario requires; and the one echo it admits for
+# some keys.  Teleport-check is defined on three qubits, dynamics-trace runs
+# a single trajectory, and the sweeps' per-trial random alternate splits
+# need a dimension-generic reference.
 SCENARIOS = {
-    "teleport-check": (("layout", "input_qubit"), ()),
-    "lemma1-sweep": (("layout", "structure_a", "projection_a"), ("trials", "layout")),
-    "lemma2-sweep": (("layout", "structure_a", "projection_a"), ("trials", "layout")),
-    "qcr-demo": (("layout", "structure_a"), ("trials", "layout")),
+    "teleport-check": (("layout", "input_qubit"), (), {"layout": [2, 2, 2]}),
+    "lemma1-sweep": (("layout", "structure_a", "projection_a"), ("trials", "layout"), _SWEEP_FIXED),
+    "lemma2-sweep": (("layout", "structure_a", "projection_a"), ("trials", "layout"), _SWEEP_FIXED),
+    "qcr-demo": (("layout", "structure_a"), ("trials", "layout"), {}),
     "dynamics-trace": (
         ("layout", "structure_a", "structure_b", "projection_a", "projection_b", "hamiltonian", "initial_state", "time_grid"),
         ("layout", "structure_a", "structure_b", "hamiltonian", "initial_state", "time_grid"),
+        {"trials": 1},
     ),
 }
 
-_MAXIMALLY_MIXED = "maximally_mixed"
-_DEFAULT_PROJECTION = {"kind": "type_i", "rho_ref": _MAXIMALLY_MIXED}
 # What an absent optional key stands for (layout is optional only for
-# teleport-check, which takes [2, 2, 2] only).  An absent input_qubit is
-# |0>, the ScenarioConfig default, and is not echoed.
+# teleport-check).  An absent input_qubit is |0>, the ScenarioConfig
+# default, and is not echoed.
 _DEFAULTS = {
     "trials": 1,
     "layout": [2, 2, 2],
@@ -165,8 +174,6 @@ def _parse_base_seed(obj, name: str, v: dict, base_dir: Path):
 
 def _parse_trials(obj, name: str, v: dict, base_dir: Path):
     trials = _require_int(obj, name, minimum=1)
-    if v["scenario"] == "dynamics-trace" and trials != 1:
-        raise ConfigError("trials: dynamics-trace runs a single trajectory (trials must be 1)")
     return trials, trials
 
 
@@ -185,8 +192,6 @@ def _parse_layout(obj, name: str, v: dict, base_dir: Path):
     total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
         raise ConfigError(f"{name}: total dimension {total} exceeds the cap of {MAX_TOTAL_DIM}")
-    if v["scenario"] == "teleport-check" and dims != (2, 2, 2):
-        raise ConfigError(f"{name}: teleport-check is defined on [2, 2, 2]")
     return FactorLayout(dims), list(dims)
 
 
@@ -231,23 +236,15 @@ def _read_square_matrix(spec, name: str, base_dir: Path) -> np.ndarray:
 
 
 def _parse_projection(obj, name: str, v: dict, base_dir: Path):
-    """The type I projection for the structure of the same letter.  The
-    sweeps draw a random alternate split per trial, so they take only the
-    dimension-generic maximally mixed reference, and echo it normalized."""
+    """The type I projection for the structure of the same letter, echoed
+    with its ``rho_ref``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{name}: must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind != "type_i":
         raise ConfigError(f"{name}: kind must be 'type_i', the one projection family the CLI builds, got {kind!r}")
-    obj = _require_object(obj, name, ("kind", "rho_ref"))
-    ref = obj.get("rho_ref", _MAXIMALLY_MIXED)
-    if v["scenario"] != "dynamics-trace":
-        if ref != _MAXIMALLY_MIXED:
-            raise ConfigError(
-                f"{name}: sweeps require {_DEFAULT_PROJECTION}"
-                " (per-trial random alternate splits need a dimension-generic reference)"
-            )
-        obj = dict(_DEFAULT_PROJECTION)
+    ref = _require_object(obj, name, ("kind", "rho_ref")).get("rho_ref", _MAXIMALLY_MIXED)
+    obj = {"kind": kind, "rho_ref": ref}
     s = v[name.replace("projection", "structure")]
     if ref == _MAXIMALLY_MIXED:
         return TypeIProjection(maximally_mixed(s.dim_e)), obj
@@ -298,7 +295,7 @@ def _parse_time_grid(obj, name: str, v: dict, base_dir: Path):
     return grid, {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps}
 
 
-def _parse_qubit(obj, name: str, v: dict | None = None, base_dir: Path | None = None):
+def _parse_qubit(obj, name: str, v: dict, base_dir: Path):
     if not isinstance(obj, list) or len(obj) != 2:
         raise ConfigError(f"{name}: must be [[re, im], [re, im]]")
     amps = []
@@ -323,7 +320,7 @@ def _parse_initial_state(obj, name: str, v: dict, base_dir: Path):
     if not isinstance(obj, dict):
         raise ConfigError(f"{name}: must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in _INITIAL_STATE_KEYS:
+    if not isinstance(kind, str) or kind not in _INITIAL_STATE_KEYS:
         raise ConfigError(f"{name}.kind: must be one of {', '.join(_INITIAL_STATE_KEYS)}, got {kind!r}")
     allowed, required = _INITIAL_STATE_KEYS[kind]
     _require_object(obj, f"{name} (kind {kind!r})", ("kind", *allowed), required)
@@ -335,7 +332,7 @@ def _parse_initial_state(obj, name: str, v: dict, base_dir: Path):
             raise ConfigError(f"{name}: kind 'teleport' needs layout [2, 2, 2]")
         u = np.array(_DEFAULT_INPUT_QUBIT, dtype=np.complex128)
         if "input_qubit" in obj:
-            u, echo["input_qubit"] = _parse_qubit(obj["input_qubit"], f"{name}.input_qubit")
+            u, echo["input_qubit"] = _parse_qubit(obj["input_qubit"], f"{name}.input_qubit", v, base_dir)
         return _pure(teleport_state(u)), echo
     if kind == "maximally_mixed":
         return (np.full(total, 1.0 / total), np.eye(total, dtype=np.complex128)), echo
@@ -425,10 +422,10 @@ def load_config(
     if type(raw["version"]) is not int or raw["version"] != 1:
         raise ConfigError(f"version: expected 1, got {raw['version']!r}")
     scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}, got {scenario!r}")
 
-    own, required = SCENARIOS[scenario]
+    own, required, fixed = SCENARIOS[scenario]
     keys = (*_COMMON_KEYS, *own, "output_dir")
     _require_object(raw, "", keys, ("base_seed", *required, "output_dir"))
     values: dict = {"scenario": scenario}
@@ -437,4 +434,6 @@ def load_config(
         if key in raw or key in _DEFAULTS:
             obj = raw[key] if key in raw else copy.deepcopy(_DEFAULTS[key])
             values[key], echo[key] = _PARSERS[key](obj, key, values, path.parent)
+            if key in fixed and echo[key] != fixed[key]:
+                raise ConfigError(f"{key}: {scenario} takes only {fixed[key]}")
     return ScenarioConfig(echo=echo, **values)

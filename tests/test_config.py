@@ -2,12 +2,15 @@
 config fails (exit 1, one JSON line on stderr, nothing written)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tpslab import config, load_config
 from tpslab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def dynamics_config(**overrides) -> dict:
@@ -206,7 +209,7 @@ def validate_error(tmp_path, capsys, cfg) -> str:
 
 @pytest.mark.parametrize("scenario", list(config.SCENARIOS))
 def test_scenario_key_table(tmp_path, capsys, scenario):
-    own, required = config.SCENARIOS[scenario]
+    own, required, fixed = config.SCENARIOS[scenario]
     keys = [*config._COMMON_KEYS, *own, "output_dir"]
     values = {**VALID_VALUES, "scenario": scenario}
     # written in reverse, so that the echo order can only come from the table
@@ -223,7 +226,50 @@ def test_scenario_key_table(tmp_path, capsys, scenario):
             assert main(["validate", write(tmp_path, cfg)]) == 0, capsys.readouterr().err
             capsys.readouterr()
 
-    other_keys = {k for o, _ in config.SCENARIOS.values() for k in o} - set(keys)
+    other_keys = {k for o, _, _ in config.SCENARIOS.values() for k in o} - set(keys)
     for key in ["bogus", *sorted(other_keys)]:
         cfg = {**full, key: VALID_VALUES.get(key, 1)}
         assert validate_error(tmp_path, capsys, cfg) == f"unknown config key: {key!r}"
+
+
+# For each key a scenario fixes, an otherwise valid value it does not admit.
+OTHER_VALUES = {
+    "layout": [2, 2],
+    "trials": 2,
+    "projection_a": {"kind": "type_i", "rho_ref": {"file": "rho_ref.tpsw"}},
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, key",
+    [(s, k) for s, (_, _, fixed) in config.SCENARIOS.items() for k in fixed],
+)
+def test_a_fixed_key_admits_one_value(tmp_path, capsys, scenario, key):
+    (tmp_path / "rho_ref.tpsw").write_bytes((GOLDEN / "dynamics-rho-ref" / "rho_ref.tpsw").read_bytes())
+    # the golden's rho_ref is 2 x 2, the environment of grouping [0, 1, 2] on four qubits
+    values = {**VALID_VALUES, "scenario": scenario, "layout": [2, 2, 2, 2], "structure_a": {"grouping": [0, 1, 2]}}
+    own, _, fixed = config.SCENARIOS[scenario]
+    cfg = {k: values[k] for k in [*config._COMMON_KEYS, *own, "output_dir"]}
+    cfg[key] = OTHER_VALUES[key]
+    expected = f"{key}: {scenario} takes only {fixed[key]}"
+    assert validate_error(tmp_path, capsys, cfg) == expected
+
+
+@pytest.mark.parametrize("scenario", ["lemma1-sweep", "dynamics-trace"])
+def test_a_projection_is_echoed_with_its_rho_ref(tmp_path, capsys, scenario):
+    own, _, _ = config.SCENARIOS[scenario]
+    cfg = {k: {**VALID_VALUES, "scenario": scenario}[k] for k in [*config._COMMON_KEYS, *own, "output_dir"]}
+    cfg["projection_a"] = {"kind": "type_i"}
+    assert main(["validate", write(tmp_path, cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["projection_a"] == {"kind": "type_i", "rho_ref": "maximally_mixed"}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"scenario": ["qcr-demo"]}, {"scenario": {"name": "qcr-demo"}}, {"initial_state": {"kind": []}},
+     {"initial_state": {"kind": {"k": 1}}}],
+    ids=["scenario-list", "scenario-object", "kind-list", "kind-object"],
+)
+def test_an_unhashable_name_is_a_config_error(tmp_path, capsys, override):
+    message = config_error(tmp_path, capsys, dynamics_config(**override))
+    assert message.startswith(("scenario: must be one of", "initial_state.kind: must be one of"))
