@@ -209,13 +209,7 @@ def _parse_structure(obj, name: str, v: dict, base_dir: Path):
             return structure_from_grouping(layout, indices), obj
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    path = base_dir / str(obj["unitary_file"])
-    if not path.is_file():
-        raise ConfigError(f"{name}.unitary_file: no such file: {path}")
-    try:
-        s = read_structure_file(path)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    s = _read_file(read_structure_file, obj, "unitary_file", name, base_dir)
     if s.total_dim != layout.total_dim:
         raise ConfigError(
             f"{name}: unitary dim {s.total_dim} does not match layout dim {layout.total_dim}"
@@ -223,16 +217,24 @@ def _parse_structure(obj, name: str, v: dict, base_dir: Path):
     return s, obj
 
 
-def _read_square_matrix(spec, name: str, base_dir: Path) -> np.ndarray:
-    spec = _require_object(spec, name, ("file",), ("file",))
-    path = base_dir / str(spec["file"])
+def _read_file(read, obj: dict, key: str, name: str, base_dir: Path):
+    """``read(path)`` of the file that ``obj[key]`` names, relative to the
+    config's directory; a missing, unreadable or malformed file is a config
+    error."""
+    path = base_dir / str(obj[key])
     if not path.is_file():
-        raise ConfigError(f"{name}.file: no such file: {path}")
+        raise ConfigError(f"{name}.{key}: no such file: {path}")
     try:
-        m, _ = read_matrix_file(path)
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"{name}.{key}: cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    return m
+
+
+def _read_square_matrix(spec, name: str, base_dir: Path) -> np.ndarray:
+    spec = _require_object(spec, name, ("file",), ("file",))
+    return _read_file(read_matrix_file, spec, "file", name, base_dir)[0]
 
 
 def _parse_projection(obj, name: str, v: dict, base_dir: Path):

@@ -329,7 +329,7 @@ def mutual_information(rho, s: Structure) -> float:
     (nats).  Nonnegative up to roundoff; zero exactly on product states of
     the split."""
     rho, spectrum = _checked_spectrum(rho)
-    _check_total_dim(rho, s, "reduced_state")
+    _check_total_dim(rho, s, "mutual_information")
     _, entropy_s, entropy_e = _split_entropies(to_structure_basis(rho, s), s)
     return entropy_s + entropy_e - _spectral_entropy(spectrum)
 

@@ -1,21 +1,21 @@
 """Bipartite tensor-product structures of one composite Hilbert space.
 
 A structure is a system-environment split: two factor dimensions plus the
-split's product basis placed in the fixed reference basis.  Regrouping
-elementary factors permutes the reference basis, so a grouping (and the
-identity) is stored as an index map, and it changes the basis of an operator
-by an index gather, which equals the dense products bit for bit.  A general
-unitary realizes an arbitrary redefinition of the degrees of freedom; it is
-stored dense, and basis changes take two matrix products.  Each structure
-keeps exactly one of the two forms, chosen when it is built: a unitary input
-that is exactly a permutation matrix is stored as its index map.  A grouping
-also records which factors it groups, so that callers can work on the
-factor tensors of a state directly.  State and operator coordinates live in
-the reference basis unless a function says otherwise.
+split's product basis placed in the fixed reference basis.  It is one of two
+kinds, fixed when it is built:
 
-Vectors, transition matrices and expansion coefficients gather from an
-index map as well; the dense unitary ``Structure.w`` of either form is
-built on each read for an index map.
+* a grouping of elementary factors, which permutes the reference basis.  It
+  is stored as the index map it defines, and it changes the basis of a
+  vector or an operator by an index gather, which equals the dense products
+  bit for bit.  It also records which factors it groups, so that callers
+  can work on the factor tensors of a state directly;
+* a dense unitary, an arbitrary redefinition of the degrees of freedom.  It
+  is stored as given, and basis changes take matrix products.  A unitary
+  that happens to permute the reference basis is stored dense as well.
+
+``s.grouping is not None`` is the one test for the gather paths; no module
+but this one reads the stored basis.  State and operator coordinates live
+in the reference basis unless a function says otherwise.
 """
 
 from __future__ import annotations
@@ -64,59 +64,48 @@ class FactorLayout:
 
 @dataclass(frozen=True, eq=False)
 class Structure:
-    """One bipartition of the composite space.
+    """One bipartition of the composite space, given in one of two ways:
 
-    ``basis`` places the structure's product basis in the reference basis;
-    product vector ``k = m * dim_e + n`` is ``|m>_S (x) |n>_E``.  It holds
-    one of two forms, chosen at construction:
+    * ``grouping=(layout dims, system factor positions)``, the positions
+      sorted, distinct, in range and a nonempty proper subset, with
+      ``dim_s`` the product of their dims, as :func:`structure_from_grouping`
+      builds it.  ``basis`` is
+      derived from it: the index map whose entry ``k`` is the reference
+      basis index of product vector ``k``;
+    * ``basis``, a dense unitary whose column ``k`` is product vector ``k``
+      in reference coordinates, with ``grouping`` left ``None``.  Unitarity
+      is exactly the orthonormality constraint on the change-of-structure
+      coefficients.
 
-    * an index map, a 1-D permutation of ``range(total_dim)``: product
-      vector ``k`` is reference basis vector ``basis[k]``.  Groupings and the
-      identity are built this way, and a unitary that is exactly a
-      permutation matrix is stored this way;
-    * a dense unitary, 2-D: column ``k`` is product vector ``k`` in
-      reference coordinates.  Unitarity is exactly the orthonormality
-      constraint on the change-of-structure coefficients.
-
-    ``grouping`` is ``(layout dims, system factor positions)`` when the
-    structure groups elementary factors, as :func:`structure_from_grouping`
-    builds it, and ``None`` otherwise; the index map must be the one that
-    grouping defines.  :attr:`w` is the dense unitary of either form.
+    Product vector ``k = m * dim_e + n`` is ``|m>_S (x) |n>_E``.  :attr:`w`
+    is the dense unitary of either kind; for a grouping it is built on each
+    read.
     """
 
     dim_s: int
     dim_e: int
-    basis: np.ndarray
+    basis: np.ndarray | None = None
     grouping: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def __post_init__(self):
-        basis = np.asarray(self.basis)
-        if basis.ndim != 1:
-            basis = require_square(basis, "structure unitary")
-        dim = basis.shape[0]
-        if self.dim_s < 1 or self.dim_e < 1 or self.dim_s * self.dim_e != dim:
-            raise ValueError(f"structure dims {self.dim_s} x {self.dim_e} do not factor {dim}")
-        if basis.ndim == 2 and (index_map := _index_map_of(basis)) is not None:
-            basis = index_map
-        if basis.ndim == 2:
+        if (self.basis is None) == (self.grouping is None):
+            raise ValueError("structure: give exactly one of a unitary basis or a grouping")
+        if self.grouping is None:
+            basis = require_square(self.basis, "structure unitary").copy()
             defect = _orthonormality_defect(basis)
             if defect > UNITARITY_TOL:
                 raise ValueError(
                     f"structure unitary is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
                 )
-            basis = basis.copy()
-        elif np.issubdtype(basis.dtype, np.integer) and np.array_equal(np.sort(basis), np.arange(dim)):
-            basis = basis.astype(np.intp)
         else:
-            raise ValueError(f"structure index map is not a permutation of range({dim})")
-        if self.grouping is not None:
-            dims, selected = self.grouping
-            if (
-                basis.ndim != 1
-                or math.prod(dims[i] for i in selected) != self.dim_s
-                or not np.array_equal(basis, _grouping_index_map(dims, selected))
-            ):
-                raise ValueError(f"structure grouping {self.grouping} does not define this structure")
+            dims, selected = FactorLayout(self.grouping[0]).dims, tuple(self.grouping[1])
+            if _system_dim(dims, selected) != self.dim_s:
+                raise ValueError(f"structure grouping {self.grouping} does not have system dim {self.dim_s}")
+            object.__setattr__(self, "grouping", (dims, selected))
+            basis = _grouping_index_map(dims, selected)
+        dim = basis.shape[0]
+        if self.dim_s < 1 or self.dim_e < 1 or self.dim_s * self.dim_e != dim:
+            raise ValueError(f"structure dims {self.dim_s} x {self.dim_e} do not factor {dim}")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
@@ -126,8 +115,8 @@ class Structure:
 
     @property
     def w(self) -> np.ndarray:
-        """The dense unitary; built on each read when ``basis`` is an index map."""
-        if self.basis.ndim == 2:
+        """The dense unitary; built on each read for a grouping."""
+        if self.grouping is None:
             return self.basis
         w = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
         w[self.basis, np.arange(self.total_dim)] = 1.0
@@ -135,21 +124,10 @@ class Structure:
         return w
 
 
-def _index_map_of(w: np.ndarray) -> np.ndarray | None:
-    """The index map ``p`` with ``w[p[k], k] == 1`` when ``w`` is exactly a
-    permutation matrix (one entry equal to 1 in each row and column, no
-    other nonzero entry), else ``None``."""
-    if np.count_nonzero(w) != w.shape[0]:
-        return None
-    ones = w == 1
-    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
-        return None
-    return np.argmax(ones, axis=0)
-
-
 def identity_structure(dim_s: int, dim_e: int) -> Structure:
-    """The reference split itself: the identity index map with the given factor dims."""
-    return Structure(dim_s, dim_e, np.arange(dim_s * dim_e))
+    """The reference split itself: the grouping ``(0,)`` of the layout
+    ``(dim_s, dim_e)``, so both dims must be at least 2."""
+    return Structure(dim_s, dim_e, grouping=((dim_s, dim_e), (0,)))
 
 
 def structure_from_grouping(layout: FactorLayout, s_indices) -> Structure:
@@ -158,18 +136,22 @@ def structure_from_grouping(layout: FactorLayout, s_indices) -> Structure:
     Selected factors keep their relative order and come first; the remaining
     factors follow in their original order.
     """
-    n = len(layout)
     selected = tuple(sorted(int(i) for i in s_indices))
-    if len(set(selected)) != len(selected):
-        raise ValueError(f"grouping: duplicate factor indices in {selected}")
+    dim_s = _system_dim(layout.dims, selected)
+    return Structure(dim_s, layout.total_dim // dim_s, grouping=(layout.dims, selected))
+
+
+def _system_dim(dims: tuple[int, ...], selected: tuple[int, ...]) -> int:
+    """The product of the selected factor dims, once ``selected`` is checked
+    to be sorted, distinct, in range and a nonempty proper subset."""
+    n = len(dims)
+    if list(selected) != sorted(set(selected)):
+        raise ValueError(f"grouping: factor indices {selected} must be sorted and distinct")
     if any(i < 0 or i >= n for i in selected):
         raise ValueError(f"grouping: factor indices {selected} out of range for {n} factors")
     if not selected or len(selected) == n:
         raise ValueError("grouping: system factors must be a nonempty proper subset")
-    total = layout.total_dim
-    dim_s = math.prod(layout.dims[i] for i in selected)
-    index_map = _grouping_index_map(layout.dims, selected)
-    return Structure(dim_s, total // dim_s, index_map, grouping=(layout.dims, selected))
+    return math.prod(dims[i] for i in selected)
 
 
 def _grouping_index_map(dims: tuple[int, ...], selected: tuple[int, ...]) -> np.ndarray:
@@ -193,7 +175,7 @@ def to_structure_basis(m, s: Structure) -> np.ndarray:
     """Express an operator in the structure's product basis: ``W^H m W``."""
     m = require_square(m, "to_structure_basis input")
     _check_total_dim(m, s, "to_structure_basis")
-    if s.basis.ndim == 1:
+    if s.grouping is not None:
         return m[np.ix_(s.basis, s.basis)]
     return s.basis.conj().T @ m @ s.basis
 
@@ -202,7 +184,7 @@ def from_structure_basis(m, s: Structure) -> np.ndarray:
     """Inverse of :func:`to_structure_basis`: ``W m W^H``."""
     m = require_square(m, "from_structure_basis input")
     _check_total_dim(m, s, "from_structure_basis")
-    if s.basis.ndim == 1:
+    if s.grouping is not None:
         inv = np.argsort(s.basis)
         return m[np.ix_(inv, inv)]
     return s.basis @ m @ s.basis.conj().T
@@ -213,11 +195,8 @@ def vector_to_structure_basis(psi, s: Structure) -> np.ndarray:
     structure's product basis: ``W^H psi``."""
     name = "vector_to_structure_basis input"
     psi = as_vector(psi, name) if np.ndim(psi) == 1 else as_matrix(psi, name)
-    if psi.shape[0] != s.total_dim:
-        raise ValueError(
-            f"vector_to_structure_basis: dim {psi.shape[0]} does not match structure dim {s.total_dim}"
-        )
-    if s.basis.ndim == 1:
+    _check_total_dim(psi, s, "vector_to_structure_basis")
+    if s.grouping is not None:
         return psi[s.basis]
     return s.basis.conj().T @ psi
 
@@ -247,8 +226,8 @@ def transition_matrix(s_from: Structure, s_to: Structure) -> np.ndarray:
         raise ValueError(
             f"transition_matrix: structure dims differ ({s_from.total_dim} vs {s_to.total_dim})"
         )
-    if s_from.basis.ndim == 1 and s_to.basis.ndim == 1:
-        # entry [j, k] is 1 where both maps send j and k to the same reference vector
+    if s_from.grouping is not None and s_to.grouping is not None:
+        # entry [j, k] is 1 where both index maps send j and k to the same reference vector
         t = np.zeros((s_to.total_dim, s_to.total_dim), dtype=np.complex128)
         t[np.argsort(s_to.basis)[s_from.basis], np.arange(s_from.total_dim)] = 1.0
         return t
@@ -272,7 +251,7 @@ def d_coefficient(s: Structure, i: int, alpha: int, m: int, n: int) -> complex:
         if not 0 <= value < bound:
             raise ValueError(f"d_coefficient: index {name}={value} out of range [0, {bound})")
     row, col = i * s.dim_e + alpha, m * s.dim_e + n
-    entry = complex(s.basis[col] == row) if s.basis.ndim == 1 else s.basis[row, col]
+    entry = complex(s.basis[col] == row) if s.grouping is not None else s.basis[row, col]
     return complex(np.conj(entry))
 
 

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tpslab import write_matrix_file
 from tpslab.cli import main
 
 DYNAMICS_CONFIG = """{
@@ -92,6 +94,41 @@ def test_out_of_memory_is_exit_3(tmp_path, capsys):
     error = json.loads(lines[0])
     assert error["error"] == "memory"
     assert "PiB" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("structure_a", {"unitary_file": "locked.tpsw"}, "structure_a.unitary_file"),
+        ("hamiltonian", {"file": "locked.tpsw"}, "hamiltonian.file"),
+        ("projection_a", {"kind": "type_i", "rho_ref": {"file": "locked.tpsw"}}, "projection_a.rho_ref.file"),
+    ],
+)
+def test_unreadable_matrix_file_is_a_config_error(tmp_path, capsys, monkeypatch, key, value, named):
+    # the file exists, so the refusal comes from reading it, as for a file
+    # without read permission or one whose read fails with EIO
+    locked = tmp_path / "locked.tpsw"
+    write_matrix_file(locked, np.eye(2 if key == "projection_a" else 4), split_dim=2)
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path.name == locked.name:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    config = tmp_path / "dyn.json"
+    cfg = {**json.loads(DYNAMICS_CONFIG % "1.5"), key: value}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"{named}: cannot read {locked}: ")
+    assert "Permission denied" in error["message"]
     assert not (tmp_path / "out").exists()
 
 

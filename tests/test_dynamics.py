@@ -406,8 +406,8 @@ DIVISORS_24 = (2, 3, 4, 6, 8, 12)
 @st.composite
 def structures_2322(draw, kind: str):
     """A structure of total dimension 24: a grouping of [2, 3, 2, 2], a Haar
-    structure, or a permutation matrix, which is stored as an index map
-    without a grouping."""
+    structure, or a permutation matrix, which is stored dense like any other
+    unitary."""
     if kind == "grouping":
         return structure_from_grouping(LAYOUT_2322, draw(st.sampled_from(GROUPINGS_2322)))
     dim_s = draw(st.sampled_from(DIVISORS_24))
@@ -415,7 +415,7 @@ def structures_2322(draw, kind: str):
     if kind == "haar":
         return haar_structure(24, dim_s, seed)
     s = structure_from_unitary(np.eye(24)[:, np.random.default_rng(seed).permutation(24)], dim_s, 24 // dim_s)
-    assert s.basis.ndim == 1 and s.grouping is None
+    assert s.basis.ndim == 2 and s.grouping is None
     return s
 
 

@@ -279,6 +279,10 @@ class TestMutualInformation:
             hits += mutual_information(rho, s_b) > 1e-6
         assert hits >= 28
 
+    def test_dimension_mismatch_names_mutual_information(self):
+        with pytest.raises(ValueError, match=r"^mutual_information: dim 8 does not match structure dim 4$"):
+            mutual_information(stream(128).ginibre_density(8, 2), identity_structure(2, 2))
+
 
 class TestTeleportState:
     def test_ground_input(self):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpslab import (
+    FactorLayout,
     InvariantViolation,
     RandomStream,
     commutator_defect,
@@ -23,6 +24,7 @@ from tpslab import (
     mix_seed,
     relativity,
     scenarios,
+    structure_from_grouping,
     structure_from_unitary,
     write_matrix_file,
 )
@@ -103,6 +105,27 @@ def test_pooled_report_equals_in_process_report(tmp_path, monkeypatch, capsys, s
     assert (pooled / "series.csv").read_bytes() == (serial / "series.csv").read_bytes()
     results = [json.loads((d / "summary.json").read_text())["results"] for d in (serial, pooled)]
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("scenario", SWEEPS)
+def test_grouping_and_its_unitary_file_give_identical_reports(tmp_path, capsys, scenario):
+    # the gathers of a grouping and the dense products of its permutation
+    # matrix agree bit for bit
+    layout = FactorLayout((2, 3, 2, 2))
+    s = structure_from_grouping(layout, (1, 3))
+    write_matrix_file(tmp_path / "w.tpsw", s.w, split_dim=s.dim_s)
+    reports = []
+    for name, structure_a in (("grouping", {"grouping": [1, 3]}), ("unitary", {"unitary_file": "w.tpsw"})):
+        config = tmp_path / f"{name}.json"
+        cfg = {"version": 1, "scenario": scenario, "base_seed": 29, "output_dir": "out",
+               "layout": list(layout.dims), "structure_a": structure_a, "trials": 6}
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / name
+        assert main(["run", str(config), "--output-dir", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text(encoding="utf-8"))["results"]
+        reports.append(((out / "series.csv").read_bytes(), json.dumps(results)))
+    assert capsys.readouterr().err == ""
+    assert reports[0] == reports[1]
 
 
 @needs_pool
@@ -210,8 +233,8 @@ def test_non_idempotent_projection_fails_the_same_spec_control(tmp_path, monkeyp
 
 # (layout, system factors of the grouping A): a square and a non-square split
 ORACLE_LAYOUTS = {"2222": ([2, 2, 2, 2], [0, 1]), "232": ([2, 3, 2], [0, 2])}
-# structure A as a grouping, a permutation file (an index map without a
-# grouping) and a Haar file (a dense unitary)
+# structure A as a grouping, a permutation file and a Haar file (both stored
+# dense)
 ORACLE_CASES = [(layout, kind) for layout in ORACLE_LAYOUTS for kind in ("grouping", "permutation", "haar")]
 
 
@@ -241,7 +264,7 @@ def oracle_configs(tmp_path_factory):
                    "layout": dims, "structure_a": structure_a, "trials": 1}
             config.write_text(json.dumps(cfg), encoding="utf-8")
             pair.append(load_config(config))
-        assert (pair[0].structure_a.basis.ndim == 2) == (kind == "haar")
+        assert (pair[0].structure_a.basis.ndim == 2) == (kind != "grouping")
         assert (pair[0].structure_a.grouping is None) == (kind != "grouping")
         configs[layout, kind] = tuple(pair)
     return configs

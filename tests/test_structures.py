@@ -87,15 +87,32 @@ class TestGrouping:
         assert peak < t.nbytes + 2**20
 
     def test_grouping_must_match_its_index_map(self):
+        # the index map is derived from the grouping, never given with it
         s = structure_from_grouping(THREE_QUBITS, (1,))
-        with pytest.raises(ValueError, match="does not define this structure"):
-            Structure(2, 4, s.basis, grouping=((2, 2, 2), (0,)))
-        with pytest.raises(ValueError, match="does not define this structure"):
-            Structure(2, 4, haar_structure(8, 2, 42).w, grouping=s.grouping)
+        with pytest.raises(ValueError, match="exactly one of"):
+            Structure(2, 4, s.w, grouping=s.grouping)
+        with pytest.raises(ValueError, match="exactly one of"):
+            Structure(2, 4)
+        with pytest.raises(ValueError, match="does not have system dim 4"):
+            Structure(4, 2, grouping=((2, 2, 2), (1,)))
+        with pytest.raises(ValueError, match="do not factor"):
+            Structure(2, 2, grouping=((2, 2, 2), (1,)))
+        for selected, match in (
+            ((1, 0), "sorted and distinct"),
+            ((0, 0), "sorted and distinct"),
+            ((0, 3), "out of range"),
+            ((-1,), "out of range"),
+            ((), "proper subset"),
+            ((0, 1, 2), "proper subset"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                Structure(4, 2, grouping=((2, 2, 2), selected))
+        assert Structure(4, 2, grouping=([2, 2, 2], [0, 2])).grouping == ((2, 2, 2), (0, 2))
 
     def test_index_map_must_be_a_permutation(self):
-        for basis in ([0, 0, 1, 2], [0, 1, 2, 4], [0.0, 1.0, 2.0, 3.0]):
-            with pytest.raises(ValueError, match="not a permutation"):
+        # a structure is a grouping or a dense unitary: a bare index map is rejected
+        for basis in ([0, 0, 1, 2], [1, 0, 3, 2], [0.0, 1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="expected a 2-D array"):
                 Structure(2, 2, np.array(basis))
 
     def test_rejects_empty_and_full_groupings(self):
@@ -232,8 +249,8 @@ def _dense_pair(m, s):
 
 
 class TestPermutationGather:
-    """Permutation structures are stored as index maps and gather indices;
-    the result must equal the dense products with ``w`` bit for bit."""
+    """Groupings are stored as index maps and gather indices; the result
+    must equal the dense products with ``w`` bit for bit."""
 
     LAYOUT = FactorLayout((2, 3, 2))
 
@@ -252,12 +269,27 @@ class TestPermutationGather:
         self.assert_gather_matches_dense(identity_structure(3, 4), 34)
 
     def test_permutation_matrix_file(self, tmp_path):
+        # a permutation matrix is stored dense, and its products equal the
+        # gathers of its index map bit for bit
         perm = np.random.default_rng(35).permutation(12)
+        inv = np.argsort(perm)
         path = tmp_path / "perm.tpsw"
         write_matrix_file(path, np.eye(12)[:, perm], split_dim=4)
         s = read_structure_file(path)
-        np.testing.assert_array_equal(s.basis, perm)
-        self.assert_gather_matches_dense(s, 36)
+        assert s.basis.ndim == 2 and s.grouping is None
+        np.testing.assert_array_equal(s.w, np.eye(12)[:, perm])
+        m = stream(36).complex_matrix(12, 12)
+        np.testing.assert_array_equal(to_structure_basis(m, s), m[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(from_structure_basis(m, s), m[np.ix_(inv, inv)])
+        psi = stream(36, 1).complex_normals(36).reshape(12, 3)
+        np.testing.assert_array_equal(vector_to_structure_basis(psi, s), psi[perm])
+        np.testing.assert_array_equal(vector_to_structure_basis(psi[:, 0], s), psi[perm, 0])
+        # a signed permutation is no different
+        w = np.eye(4, dtype=np.complex128)[:, [2, 0, 3, 1]]
+        w[0, 1] = -1.0
+        signed = structure_from_unitary(w, 2, 2)
+        assert signed.basis.ndim == 2
+        np.testing.assert_array_equal(signed.w, w)
 
     def test_haar_structure_takes_dense_path(self):
         s = haar_structure(12, 3, 37)
@@ -287,11 +319,6 @@ class TestPermutationGather:
                 got = d_coefficient(s, i, alpha, m, n)
                 want = complex(np.conj(w[i * s.dim_e + alpha, m * s.dim_e + n]))
                 assert (got.real, math.copysign(1, got.imag)) == (want.real, math.copysign(1, want.imag))
-
-    def test_signed_permutation_takes_dense_path(self):
-        w = np.eye(4, dtype=np.complex128)[:, [2, 0, 3, 1]]
-        w[0, 1] = -1.0
-        assert structure_from_unitary(w, 2, 2).basis.ndim == 2
 
 
 class TestMatrixFiles:

@@ -38,3 +38,32 @@ def test_no_scipy_import():
         if name.split(".")[0] == "scipy"
     ]
     assert offenders == []
+
+
+def basis_reads(source: str, filename: str = "<source>") -> list[int]:
+    """The lines of ``source`` that read an attribute named ``basis``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, ast.Attribute) and node.attr == "basis"
+    ]
+
+
+@pytest.mark.parametrize("source", ["s.basis", "x = f(s).basis.ndim", "def g(cfg):\n    return cfg.structure_a.basis[0]\n"])
+def test_basis_reads_are_found(source):
+    assert basis_reads(source)
+
+
+def test_only_structures_reads_the_stored_basis():
+    # a structure stores a grouping's index map or a dense unitary, and only
+    # structures.py decides between them; other modules test s.grouping and
+    # call its functions, or read the dense s.w
+    modules = sorted((ROOT / "src" / "tpslab").glob("*.py"))
+    assert "structures.py" in {path.name for path in modules}
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in modules
+        if path.name != "structures.py"
+        for line in basis_reads(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert offenders == []
