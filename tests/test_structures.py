@@ -284,12 +284,13 @@ class TestPermutationGather:
         psi = stream(36, 1).complex_normals(36).reshape(12, 3)
         np.testing.assert_array_equal(vector_to_structure_basis(psi, s), psi[perm])
         np.testing.assert_array_equal(vector_to_structure_basis(psi[:, 0], s), psi[perm, 0])
-        # a signed permutation is no different
+
+    def test_signed_permutation_takes_dense_path(self):
         w = np.eye(4, dtype=np.complex128)[:, [2, 0, 3, 1]]
         w[0, 1] = -1.0
-        signed = structure_from_unitary(w, 2, 2)
-        assert signed.basis.ndim == 2
-        np.testing.assert_array_equal(signed.w, w)
+        s = structure_from_unitary(w, 2, 2)
+        assert s.basis.ndim == 2
+        np.testing.assert_array_equal(s.w, w)
 
     def test_haar_structure_takes_dense_path(self):
         s = haar_structure(12, 3, 37)
