@@ -143,7 +143,10 @@ def _require_int(obj, name: str, minimum: int | None = None, maximum: int | None
 def _require_number(obj, name: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{name}: must be a number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ConfigError(f"{name}: integer too large for a float") from None
 
 
 def _require_object(obj, name: str, allowed, required=()) -> dict:
@@ -164,7 +167,8 @@ def _require_object(obj, name: str, allowed, required=()) -> dict:
 
 # Each parser below reads one top-level key.  It takes ``(obj, name, v,
 # base_dir)``, ``v`` holding the scenario name and the values of the keys
-# parsed before this one, and gives ``(value, echo)``.
+# parsed before this one, and gives ``(value, echo)``; ``load_config`` makes
+# a library constructor's ``ValueError`` a ``ConfigError`` naming the key.
 
 
 def _parse_base_seed(obj, name: str, v: dict, base_dir: Path):
@@ -205,10 +209,7 @@ def _parse_structure(obj, name: str, v: dict, base_dir: Path):
         if not isinstance(indices, list) or not indices:
             raise ConfigError(f"{name}.grouping: must be a nonempty list of factor positions")
         indices = [_require_int(i, f"{name}.grouping entry", minimum=0) for i in indices]
-        try:
-            return structure_from_grouping(layout, indices), obj
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        return structure_from_grouping(layout, indices), obj
     s = _read_file(read_structure_file, obj, "unitary_file", name, base_dir)
     if s.total_dim != layout.total_dim:
         raise ConfigError(
@@ -255,10 +256,7 @@ def _parse_projection(obj, name: str, v: dict, base_dir: Path):
         raise ConfigError(
             f"{name}.rho_ref: dim {m.shape[0]} does not match environment dim {s.dim_e}"
         )
-    try:
-        return TypeIProjection(m), obj
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    return TypeIProjection(m), obj
 
 
 def _parse_hamiltonian(obj, name: str, v: dict, base_dir: Path):
@@ -272,10 +270,7 @@ def _parse_hamiltonian(obj, name: str, v: dict, base_dir: Path):
     m = _read_square_matrix(obj, name, base_dir)
     if m.shape[0] != total_dim:
         raise ConfigError(f"{name}: dim {m.shape[0]} does not match layout dim {total_dim}")
-    try:
-        return Hamiltonian(m), obj
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    return Hamiltonian(m), obj
 
 
 def _parse_time_grid(obj, name: str, v: dict, base_dir: Path):
@@ -284,10 +279,7 @@ def _parse_time_grid(obj, name: str, v: dict, base_dir: Path):
     keys = ("t0", "t1", "steps")
     obj = _require_object(obj, name, keys, keys)
     steps = _require_int(obj["steps"], f"{name}.steps", minimum=1)
-    try:
-        grid = TimeGrid(_require_number(obj["t0"], f"{name}.t0"), _require_number(obj["t1"], f"{name}.t1"), steps)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    grid = TimeGrid(_require_number(obj["t0"], f"{name}.t0"), _require_number(obj["t1"], f"{name}.t1"), steps)
     t_max = max(abs(grid.t0), abs(grid.t1))
     h_bound = float(np.abs(v["hamiltonian"].mat).sum(axis=1).max())
     if not math.isfinite(t_max * h_bound):
@@ -435,7 +427,12 @@ def load_config(
     for key in keys[2:]:  # version and scenario are checked above
         if key in raw or key in _DEFAULTS:
             obj = raw[key] if key in raw else copy.deepcopy(_DEFAULTS[key])
-            values[key], echo[key] = _PARSERS[key](obj, key, values, path.parent)
+            try:
+                values[key], echo[key] = _PARSERS[key](obj, key, values, path.parent)
+            except ConfigError:
+                raise
+            except ValueError as exc:  # a library constructor's own check
+                raise ConfigError(f"{key}: {exc}") from exc
             if key in fixed and echo[key] != fixed[key]:
                 raise ConfigError(f"{key}: {scenario} takes only {fixed[key]}")
     return ScenarioConfig(echo=echo, **values)

@@ -257,8 +257,12 @@ def trajectory(
     the dynamics.  The commutator defect is recorded as NaN unless both
     specs are type_i (its defined scope).
 
-    Per pair, the columns come from one of two kernels, each validating
-    every reduction once and agreeing with the public functions to roundoff:
+    Per pair, one kernel gives the Lemma 1 reports and the Lemma 2 value at
+    each time, and for each structure the weighted vectors as a tensor
+    ``(r, dim_s, dim_e)`` with their system reduction; the mutual
+    information and purity are taken from those here.  Each reduction is
+    validated once, and both kernels agree with the public functions to
+    roundoff:
 
     * two groupings of one layout with type_i specs (the pairs that
       ``dynamics-trace`` configs build): the closed forms of
@@ -271,17 +275,30 @@ def trajectory(
         raise ValueError("trajectory: state, hamiltonian and structure dims do not match")
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
-    if (
-        isinstance(spec_a, TypeIProjection)
-        and isinstance(spec_b, TypeIProjection)
-        and s_a.grouping is not None
-        and s_b.grouping is not None
-        and s_a.grouping[0] == s_b.grouping[0]
-    ):
+    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
+    if both_type_i and s_a.grouping is not None and s_b.grouping is not None and s_a.grouping[0] == s_b.grouping[0]:
         pair = _GroupingPair(s_a.grouping, spec_a.rho_ref, s_b.grouping, spec_b.rho_ref)
     else:
-        pair = _BasisPair(s_a, spec_a, s_b, spec_b)
-    return _ensemble_points(weights, vectors, h, grid, pair)
+        pair = _BasisPair(s_a, spec_a, s_b, spec_b, both_type_i)
+    entropy_total = _spectral_entropy(weights)
+    scale = np.sqrt(weights)
+    points = []
+    for t, psi_t in zip(grid.times(), _evolved_vectors(weights, vectors, h.mat, grid)):
+        rep_ab, rep_ba, lemma2, (y_a, red_s), (y_b, red_sp) = pair.defects(psi_t * scale)
+        points.append(
+            TrajectoryPoint(
+                t=float(t),
+                lemma1_a_to_b=rep_ab.trace_norm_defect,
+                lemma1_b_to_a=rep_ba.trace_norm_defect,
+                lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
+                lemma2_defect=lemma2,
+                mi_a=_mutual_information(y_a, red_s, entropy_total),
+                mi_b=_mutual_information(y_b, red_sp, entropy_total),
+                purity_s=purity(red_s),
+                purity_sprime=purity(red_sp),
+            )
+        )
+    return tuple(points)
 
 
 def _ensemble_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -326,9 +343,11 @@ class _GroupingPair:
         size = db * dc * de
         self.lemma2 = _checked_report(delta.reshape(size, size), "commutator closed form").trace_norm_defect
 
-    def point(self, t: float, y: np.ndarray, entropy_total: float) -> TrajectoryPoint:
-        """The columns at time ``t`` from ``y``: the columns of the evolved
-        vectors, each scaled by the square root of its weight."""
+    def defects(self, y: np.ndarray):
+        """The A->B and B->A Lemma 1 reports, the Lemma 2 value, and for A
+        and for B the state as its weighted vectors ``(r, dim_s, dim_e)`` with
+        its system reduction, from ``y``: the columns of the evolved vectors,
+        each scaled by the square root of its weight."""
         da, db, dc, de = self.dims
         r = y.shape[1]
         y = y.T.reshape((r,) + self.layout).transpose([0] + [1 + i for i in self.order])
@@ -339,17 +358,7 @@ class _GroupingPair:
         red_s, red_sp = blocks_a.sum(axis=-1), blocks_b.sum(axis=-1)
         rep_ab = _cross_defect(blocks_b, red_s, self.ref_a_blocks, da)
         rep_ba = _cross_defect(blocks_a, red_sp, self.ref_b_blocks, da)
-        return TrajectoryPoint(
-            t=float(t),
-            lemma1_a_to_b=rep_ab.trace_norm_defect,
-            lemma1_b_to_a=rep_ba.trace_norm_defect,
-            lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
-            lemma2_defect=self.lemma2,
-            mi_a=_mutual_information(y_a, red_s, entropy_total),
-            mi_b=_mutual_information(y_b, red_sp, entropy_total),
-            purity_s=purity(red_s),
-            purity_sprime=purity(red_sp),
-        )
+        return rep_ab, rep_ba, self.lemma2, (y_a, red_s), (y_b, red_sp)
 
 
 def _regroup(m: np.ndarray, dims, factors: list[int], first: list[int], second: list[int]) -> np.ndarray:
@@ -400,45 +409,26 @@ class _BasisPair:
     """Any two structures with any specs.  At each time the weighted
     vectors change to A's product basis and, through
     ``v = transition_matrix(s_b, s_a)``, to B's; the state formed in each
-    basis feeds the Lemma 1 and Lemma 2 kernels that the lemma sweeps run."""
+    basis feeds the Lemma 1 and Lemma 2 kernels that the lemma sweeps run.
+    The Lemma 2 value is NaN unless ``both_type_i``."""
 
-    def __init__(self, s_a, spec_a, s_b, spec_b):
+    def __init__(self, s_a, spec_a, s_b, spec_b, both_type_i: bool):
         self.pair = (s_a, spec_a, s_b, spec_b)
         self.v = transition_matrix(s_b, s_a)
-        self.both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
+        self.both_type_i = both_type_i
 
-    def point(self, t: float, y: np.ndarray, entropy_total: float) -> TrajectoryPoint:
-        """The columns at time ``t``, as :meth:`_GroupingPair.point`."""
+    def defects(self, y: np.ndarray):
+        """As :meth:`_GroupingPair.defects`."""
         s_a, _, s_b, _ = self.pair
         y_a = vector_to_structure_basis(y, s_a)
         y_b = self.v.conj().T @ y_a
         rho_a, rho_b = y_a @ y_a.conj().T, y_b @ y_b.conj().T
         rep_ab, rep_ba, _ = _lemma1_in_basis(rho_a, rho_b, self.v, *self.pair)
         lemma2 = _lemma2_in_basis(rho_a, rho_b, self.v, *self.pair)[0] if self.both_type_i else math.nan
-        red_s, red_sp = _reduce(rho_a, s_a, "S"), _reduce(rho_b, s_b, "S")
         r = y.shape[1]
-        return TrajectoryPoint(
-            t=float(t),
-            lemma1_a_to_b=rep_ab.trace_norm_defect,
-            lemma1_b_to_a=rep_ba.trace_norm_defect,
-            lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
-            lemma2_defect=lemma2,
-            mi_a=_mutual_information(y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), red_s, entropy_total),
-            mi_b=_mutual_information(y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), red_sp, entropy_total),
-            purity_s=purity(red_s),
-            purity_sprime=purity(red_sp),
-        )
-
-
-def _ensemble_points(
-    weights, vectors, h: Hamiltonian, grid: TimeGrid, pair: _GroupingPair | _BasisPair
-) -> tuple[TrajectoryPoint, ...]:
-    entropy_total = _spectral_entropy(weights)
-    scale = np.sqrt(weights)
-    return tuple(
-        pair.point(t, psi_t * scale, entropy_total)
-        for t, psi_t in zip(grid.times(), _evolved_vectors(weights, vectors, h.mat, grid))
-    )
+        side_a = (y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), _reduce(rho_a, s_a, "S"))
+        side_b = (y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), _reduce(rho_b, s_b, "S"))
+        return rep_ab, rep_ba, lemma2, side_a, side_b
 
 
 # Propagation constants.  FIXED_PRODUCTS and EIGH_PRODUCTS_PER_DIM come from

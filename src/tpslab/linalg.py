@@ -63,11 +63,11 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(m - m.conj().T).max() / scale)
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     m = require_square(m, name)
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e} > {tol:.0e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     return m
 
 

@@ -330,19 +330,17 @@ def mutual_information(rho, s: Structure) -> float:
     the split."""
     rho, spectrum = _checked_spectrum(rho)
     _check_total_dim(rho, s, "mutual_information")
-    _, entropy_s, entropy_e = _split_entropies(to_structure_basis(rho, s), s)
-    return entropy_s + entropy_e - _spectral_entropy(spectrum)
+    return _split_mutual_information(to_structure_basis(rho, s), s, _spectral_entropy(spectrum))
 
 
-def _split_entropies(m: np.ndarray, s: Structure) -> tuple[np.ndarray, float, float]:
-    """Trusted kernel of :func:`mutual_information`: from a state already in
-    the structure's basis, its system reduction and the entropies of both
-    reductions.  Each reduction is validated once, and its entropy comes
-    from that validation's spectrum."""
-    red_s = _reduce(m, s, "S")
-    entropy_s = _spectral_entropy(_checked_spectrum(red_s, "reduced S state")[1])
+def _split_mutual_information(m: np.ndarray, s: Structure, entropy_total: float) -> float:
+    """Trusted kernel of :func:`mutual_information`: S(rho_S) + S(rho_E) -
+    ``entropy_total`` for a state ``m`` already in the structure's basis.
+    Each reduction is validated once, and its entropy comes from that
+    validation's spectrum."""
+    entropy_s = _spectral_entropy(_checked_spectrum(_reduce(m, s, "S"), "reduced S state")[1])
     entropy_e = _spectral_entropy(_checked_spectrum(_reduce(m, s, "E"), "reduced E state")[1])
-    return red_s, entropy_s, entropy_e
+    return entropy_s + entropy_e - entropy_total
 
 
 def bell_pair() -> np.ndarray:

@@ -69,7 +69,7 @@ from .relativity import (
     _checked_report,
     _lemma1_in_basis,
     _lemma2_in_basis,
-    _split_entropies,
+    _split_mutual_information,
     bell_pair,
     commutator_defect,
     teleport_state,
@@ -443,11 +443,7 @@ def _qcr_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_b = _haar_structure(stream, s_a)
     rho, spectrum = _checked_spectrum(rho)
     entropy = _spectral_entropy(spectrum)
-    row: list = [trial]
-    for s in (s_a, s_b):
-        _, entropy_s, entropy_e = _split_entropies(to_structure_basis(rho, s), s)
-        row.append(entropy_s + entropy_e - entropy)
-    return row
+    return [trial] + [_split_mutual_information(to_structure_basis(rho, s), s, entropy) for s in (s_a, s_b)]
 
 
 def _qcr_demo(cfg: ScenarioConfig):

@@ -58,9 +58,6 @@ class FactorLayout:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def __len__(self) -> int:
-        return len(self.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class Structure:

@@ -132,6 +132,61 @@ def test_unreadable_matrix_file_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+def validate_error(config, capsys) -> str:
+    """The message of the one config error line that ``validate`` prints."""
+    assert main(["validate", str(config)]) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    return error["message"]
+
+
+HUGE_INT = "1" + "0" * 400  # a JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (DYNAMICS_CONFIG % HUGE_INT, "time_grid.t1"),
+        (
+            '{"version": 1, "scenario": "teleport-check", "base_seed": 0, "output_dir": "out",'
+            f' "input_qubit": [[{HUGE_INT}, 0], [0, 0]]}}',
+            "input_qubit[0][0]",
+        ),
+    ],
+    ids=["time_grid", "input_qubit"],
+)
+def test_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, text, named):
+    config = tmp_path / "huge.json"
+    config.write_text(text, encoding="utf-8")
+    assert validate_error(config, capsys) == f"{named}: integer too large for a float"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("structure_a", {"grouping": [0, 0]}),
+        ("structure_a", {"grouping": [0, 1]}),
+        ("projection_a", {"kind": "type_i", "rho_ref": {"file": "bad.tpsw"}}),
+        ("hamiltonian", {"file": "bad.tpsw"}),
+        ("time_grid", {"t0": 1.0, "t1": 1.0, "steps": 2}),
+    ],
+    ids=["duplicate-grouping", "full-grouping", "rho-ref-not-a-state", "non-hermitian-hamiltonian", "empty-span"],
+)
+def test_library_check_is_one_config_error_naming_the_key(tmp_path, capsys, key, value):
+    # each input passes the config's own checks and is rejected by the
+    # constructor of the library object it describes
+    if key == "projection_a":  # Hermitian with unit trace, but not positive
+        write_matrix_file(tmp_path / "bad.tpsw", np.diag([2.0, -1.0]))
+    elif key == "hamiltonian":
+        write_matrix_file(tmp_path / "bad.tpsw", np.triu(np.ones((4, 4))))
+    config = tmp_path / "dyn.json"
+    config.write_text(json.dumps({**json.loads(DYNAMICS_CONFIG % "1.5"), key: value}), encoding="utf-8")
+    assert validate_error(config, capsys).startswith(f"{key}: ")
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
