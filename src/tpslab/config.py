@@ -31,7 +31,8 @@ for ``random_density``, and the reference basis with weights 1/d for
 A layout's total dimension is capped at ``MAX_TOTAL_DIM`` (4096, twelve
 qubits).  Scenarios hold dense ``complex128`` operators of that dimension,
 256 MiB each at the cap, so a larger layout is rejected as a config error
-before anything is allocated.
+before anything is allocated.  A ``dynamics-trace`` time grid is capped at
+``MAX_TIME_STEPS`` (10**6) steps for the same reason.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ from .structures import (
 
 _MAX_SEED = (1 << 64) - 1
 MAX_TOTAL_DIM = 4096
+# A trajectory keeps one point, and its report one series row of about 170
+# bytes, per grid time: 10**6 steps hold the series near 170 MB, less than
+# one dense operator at MAX_TOTAL_DIM.  A finer grid is rejected as a config
+# error before anything is allocated, not as a failure of the run.
+MAX_TIME_STEPS = 10**6
 
 # The keys every scenario shares, in echo order; a scenario's own keys
 # follow them, and output_dir is echoed last.
@@ -278,7 +284,7 @@ def _parse_time_grid(obj, name: str, v: dict, base_dir: Path):
     overflow; the largest absolute row sum of H bounds every eigenvalue."""
     keys = ("t0", "t1", "steps")
     obj = _require_object(obj, name, keys, keys)
-    steps = _require_int(obj["steps"], f"{name}.steps", minimum=1)
+    steps = _require_int(obj["steps"], f"{name}.steps", minimum=1, maximum=MAX_TIME_STEPS)
     grid = TimeGrid(_require_number(obj["t0"], f"{name}.t0"), _require_number(obj["t1"], f"{name}.t1"), steps)
     t_max = max(abs(grid.t0), abs(grid.t1))
     h_bound = float(np.abs(v["hamiltonian"].mat).sum(axis=1).max())

@@ -41,7 +41,6 @@ import numpy as np
 from .linalg import (
     UNITARITY_TOL,
     InvariantViolation,
-    _checked_spectrum,
     _orthonormality_defect,
     _phases,
     _spectral_entropy,
@@ -50,8 +49,8 @@ from .linalg import (
     require_hermitian,
 )
 from .projections import ProjectionSpec, TypeIProjection, check_compatible
-from .relativity import DefectReport, _checked_report, _lemma1_in_basis, _lemma2_in_basis
-from .structures import Structure, _reduce, transition_matrix, vector_to_structure_basis
+from .relativity import DefectReport, _BasisKernels, _checked_report, _split_mutual_information
+from .structures import Structure, transition_matrix, vector_to_structure_basis
 
 GENERATOR_NAME = "pcg64+splitmix64+box-muller:v1"
 
@@ -167,7 +166,7 @@ class Hamiltonian:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = require_hermitian(self.mat, name="hamiltonian")
+        mat = require_hermitian(self.mat, name="H")
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -267,8 +266,9 @@ def trajectory(
     * two groupings of one layout with type_i specs (the pairs that
       ``dynamics-trace`` configs build): the closed forms of
       :class:`_GroupingPair` on the vectors' factor tensors;
-    * every other pair: the A-basis Lemma 1 and Lemma 2 kernels of
-      :mod:`relativity`, which the lemma sweeps run too (:class:`_BasisPair`).
+    * every other pair: the Lemma kernels of :mod:`relativity` on the
+      vectors in A's product basis, which the lemma sweeps run too
+      (:class:`_BasisPair`).
     """
     weights, vectors = check_ensemble(*state)
     if not (vectors.shape[0] == h.dim == s_a.total_dim == s_b.total_dim):
@@ -299,11 +299,6 @@ def trajectory(
             )
         )
     return tuple(points)
-
-
-def _ensemble_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Psi diag(p) Psi^H: the density matrix of a validated ensemble."""
-    return (vectors * weights) @ vectors.conj().T
 
 
 class _GroupingPair:
@@ -387,9 +382,7 @@ def _mutual_information(y: np.ndarray, red_s: np.ndarray, entropy_total: float) 
     rows, which share their nonzero spectrum."""
     r, dim_s, dim_e = y.shape
     ye = y.transpose(2, 0, 1).reshape(dim_e, r * dim_s) if dim_e <= r * dim_s else y.reshape(r * dim_s, dim_e)
-    entropy_s = _spectral_entropy(_checked_spectrum(red_s, "reduced S state")[1])
-    entropy_e = _spectral_entropy(_checked_spectrum(ye @ ye.conj().T, "reduced E state")[1])
-    return entropy_s + entropy_e - entropy_total
+    return _split_mutual_information(red_s, ye @ ye.conj().T, entropy_total)
 
 
 def _cross_defect(blocks_to: np.ndarray, red_from: np.ndarray, ref_blocks: np.ndarray, da: int) -> DefectReport:
@@ -407,27 +400,26 @@ def _cross_defect(blocks_to: np.ndarray, red_from: np.ndarray, ref_blocks: np.nd
 
 class _BasisPair:
     """Any two structures with any specs.  At each time the weighted
-    vectors change to A's product basis and, through
-    ``v = transition_matrix(s_b, s_a)``, to B's; the state formed in each
-    basis feeds the Lemma 1 and Lemma 2 kernels that the lemma sweeps run.
-    The Lemma 2 value is NaN unless ``both_type_i``."""
+    vectors change to A's product basis, and the Lemma kernels of
+    :mod:`relativity`, which the lemma sweeps run too, take them from there
+    with ``v = transition_matrix(s_b, s_a)``; they apply the references to
+    v once, here.  No d x d state is formed.  The Lemma 2 value is NaN
+    unless ``both_type_i``."""
 
     def __init__(self, s_a, spec_a, s_b, spec_b, both_type_i: bool):
-        self.pair = (s_a, spec_a, s_b, spec_b)
-        self.v = transition_matrix(s_b, s_a)
+        self.kernels = _BasisKernels(transition_matrix(s_b, s_a), s_a, spec_a, s_b, spec_b)
         self.both_type_i = both_type_i
 
     def defects(self, y: np.ndarray):
         """As :meth:`_GroupingPair.defects`."""
-        s_a, _, s_b, _ = self.pair
+        s_a, s_b = self.kernels.a.s, self.kernels.b.s
         y_a = vector_to_structure_basis(y, s_a)
-        y_b = self.v.conj().T @ y_a
-        rho_a, rho_b = y_a @ y_a.conj().T, y_b @ y_b.conj().T
-        rep_ab, rep_ba, _ = _lemma1_in_basis(rho_a, rho_b, self.v, *self.pair)
-        lemma2 = _lemma2_in_basis(rho_a, rho_b, self.v, *self.pair)[0] if self.both_type_i else math.nan
+        p = self.kernels.point(y_a)
+        rep_ab, rep_ba = self.kernels.lemma1(p)
+        lemma2 = self.kernels.lemma2(p) if self.both_type_i else math.nan
         r = y.shape[1]
-        side_a = (y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), _reduce(rho_a, s_a, "S"))
-        side_b = (y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), _reduce(rho_b, s_b, "S"))
+        side_a = (y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), p.red_a)
+        side_b = (p.y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), p.red_b)
         return rep_ab, rep_ba, lemma2, side_a, side_b
 
 

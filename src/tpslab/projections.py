@@ -184,25 +184,36 @@ def apply_projection(mat, s: Structure, spec: ProjectionSpec) -> np.ndarray:
     return from_structure_basis(_project_in_basis(m, s, spec), s)
 
 
+def _projection_terms(spec: ProjectionSpec) -> tuple[tuple[np.ndarray | None, np.ndarray | None, np.ndarray], ...]:
+    """The projection as a short sum of Kronecker products, the one owner of
+    each family's rule: in the structure's product basis,
+    P m = sum_k sigma_k (x) R_k with sigma_k = a_k Tr_E((I (x) b_k) m), over
+    the returned ``(a_k, b_k, R_k)``; an ``a_k`` or ``b_k`` of None is the
+    identity.  type_i has one term, type_ii one per bin and type_iii one per
+    projector."""
+    if isinstance(spec, TypeIProjection):
+        return ((None, None, spec.rho_ref),)
+    if isinstance(spec, TypeIIProjection):
+        return tuple((p_s, None, rho_e) for p_s, rho_e in spec.bins)
+    if isinstance(spec, TypeIIIProjection):
+        return tuple((None, p_e, p_e) for p_e in spec.projectors)
+    raise TypeError(f"unknown projection spec type {type(spec).__name__}")
+
+
 def _project_in_basis(m: np.ndarray, s: Structure, spec: ProjectionSpec) -> np.ndarray:
     """The projection on an operator given, and returned, in the structure's
-    own product basis; trusted kernel of :func:`apply_projection`: ``m`` is a
-    complex128 array of the structure's dimension."""
+    own product basis: the dense sum of :func:`_projection_terms`.  Trusted
+    kernel of :func:`apply_projection`: ``m`` is a complex128 array of the
+    structure's dimension."""
     ds, de = s.dim_s, s.dim_e
-    if isinstance(spec, TypeIProjection):
-        out = _kron(_partial_trace(m, ds, de, "A"), spec.rho_ref)
-    elif isinstance(spec, TypeIIProjection):
-        out = np.zeros_like(m)
-        eye_e = np.eye(de, dtype=np.complex128)
-        for p_s, rho_e in spec.bins:
-            out += _kron(_partial_trace(_kron(p_s, eye_e) @ m, ds, de, "A"), rho_e)
-    elif isinstance(spec, TypeIIIProjection):
-        out = np.zeros_like(m)
-        eye_s = np.eye(ds, dtype=np.complex128)
-        for p_e in spec.projectors:
-            out += _kron(_partial_trace(_kron(eye_s, p_e) @ m, ds, de, "A"), p_e)
-    else:
-        raise TypeError(f"unknown projection spec type {type(spec).__name__}")
+    out = None
+    for a, b, ref in _projection_terms(spec):
+        if b is None:
+            sigma = _partial_trace(m, ds, de, "A")
+        else:
+            sigma = np.einsum("ef,sfte->st", b, m.reshape(ds, de, ds, de))
+        term = _kron(sigma if a is None else a @ sigma, ref)
+        out = term if out is None else out + term
     return out
 
 

@@ -7,6 +7,15 @@ two independent routes (direct partial traces, and explicit expansion
 coefficients), measures the non-commutation of projections adapted to
 different splits, and demonstrates the structure dependence of correlations
 via mutual information.
+
+The public functions take d x d states in reference coordinates; they are
+the dense route, and the tests' oracle.  The lemma sweeps and
+``trajectory`` run the trusted kernels of :class:`_BasisKernels` instead.
+These take a state's weighted vectors in one structure's product basis and
+form no d x d state: a projected state is a short sum of Kronecker
+products, which changes basis and reduces through products with the
+transition matrix's rows (C. F. Van Loan, "The ubiquitous Kronecker
+product", J. Comput. Appl. Math. 123 (2000)).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import numpy as np
 from .linalg import (
     InvariantViolation,
     _checked_spectrum,
+    _kron,
     _spectral_entropy,
     check_density_matrix,
     check_pure_state,
@@ -27,11 +37,13 @@ from .linalg import (
     schmidt,
     trace_norm,
 )
-from .projections import ProjectionSpec, TypeIProjection, _complement, _project_in_basis, apply_projection, check_compatible
+from .projections import ProjectionSpec, TypeIProjection, _complement, _projection_terms, apply_projection, check_compatible
 from .structures import (
     Structure,
     _check_total_dim,
+    _kron_rows,
     _reduce,
+    _traced_rows,
     from_structure_basis,
     to_structure_basis,
     transition_matrix,
@@ -82,22 +94,6 @@ def cross_relevance_matrix(
     check_compatible(s_from, spec)
     q = to_structure_basis(_complement(rho, s_from, spec), s_to)
     return _checked_report(_reduce(q, s_to, "S"), "cross_relevance_matrix")
-
-
-def _lemma1_in_basis(rho_a, rho_b, v, s_a, spec_a, s_b, spec_b) -> tuple[DefectReport, DefectReport, np.ndarray]:
-    """Trusted kernel of both directions of :func:`cross_relevance_matrix`
-    for one state, given as ``rho_a`` in A's product basis and ``rho_b`` in
-    B's, with ``v = transition_matrix(s_b, s_a)``: operators change from A's
-    to B's basis as ``v^H x v`` and back as ``v x v^H``.  Returns the A->B
-    and B->A reports and the complement q_A in A's basis."""
-    vh = v.conj().T
-    # each complement is formed in its own structure's basis and changed to
-    # the other's before it is reduced
-    q_a = rho_a - _project_in_basis(rho_a, s_a, spec_a)
-    q_b = rho_b - _project_in_basis(rho_b, s_b, spec_b)
-    rep_ab = _checked_report(_reduce(vh @ q_a @ v, s_b, "S"), "cross_relevance_matrix A->B")
-    rep_ba = _checked_report(_reduce(v @ q_b @ vh, s_a, "S"), "cross_relevance_matrix B->A")
-    return rep_ab, rep_ba, q_a
 
 
 def defect_matrix_pure_coeffs(
@@ -312,16 +308,95 @@ def commutator_defect(
     return trace_norm(comm, hermitian=True)
 
 
-def _lemma2_in_basis(rho_a, rho_b, v, s_a, spec_a, s_b, spec_b) -> tuple[float, np.ndarray]:
-    """Trusted kernel of :func:`commutator_defect` on the inputs of
-    :func:`_lemma1_in_basis`.  Returns the trace norm of
-    ``P_A P_B rho - P_B P_A rho`` and P_A rho, both in A's basis."""
-    vh = v.conj().T
-    # every term is in A's coordinates; P_B acts in B's basis
-    p_a_rho = _project_in_basis(rho_a, s_a, spec_a)
-    p_b_rho = v @ _project_in_basis(rho_b, s_b, spec_b) @ vh
-    p_b_p_a_rho = v @ _project_in_basis(vh @ p_a_rho @ v, s_b, spec_b) @ vh
-    return trace_norm(_project_in_basis(p_b_rho, s_a, spec_a) - p_b_p_a_rho, hermitian=True), p_a_rho
+@dataclass(frozen=True, eq=False)
+class _BasisPoint:
+    """What :class:`_BasisKernels` takes from one state: its weighted
+    vectors ``y_b`` in B's basis, the system reductions ``red_a`` = Tr_E rho
+    and ``red_b`` = Tr_E' rho, and the projected states reduced across:
+    ``tau_a`` = Tr_E'(v^H (P_A rho) v) and ``tau_b`` = Tr_E(v (P_B rho) v^H)."""
+
+    y_b: np.ndarray
+    red_a: np.ndarray
+    red_b: np.ndarray
+    tau_a: np.ndarray
+    tau_b: np.ndarray
+
+
+class _BasisKernels:
+    """The Lemma 1 and Lemma 2 kernels of a pair of structures A and B with
+    any specs, on a state given as its weighted vectors ``y_a`` in A's
+    product basis: rho_A = y_a y_a^H.  ``v = transition_matrix(s_b, s_a)``,
+    so operators change from A's to B's basis as ``v^H x v`` and vectors as
+    ``v^H y``.  The lemma sweeps build one per trial and ``trajectory`` one
+    per pair.
+
+    A projected state is a short sum of Kronecker products sigma_k (x) R_k
+    (:func:`projections._projection_terms`), so it changes basis and
+    reduces without being formed: (sigma_k (x) R_k) v applies sigma_k to
+    v's S rows and R_k to its E rows, and the E' trace of v^H times that is
+    one product (:func:`structures._traced_rows`).  Each R_k is applied to
+    v here, once.  The Lemma 1 defects then take no d x d x d product, and
+    the Lemma 2 commutator takes one.
+    """
+
+    def __init__(self, v: np.ndarray, s_a: Structure, spec_a: ProjectionSpec, s_b: Structure, spec_b: ProjectionSpec):
+        self.v = v
+        self.vh = np.ascontiguousarray(v.conj().T)
+        self.a = _CrossProjection(v, s_a, spec_a, s_b)
+        self.b = _CrossProjection(self.vh, s_b, spec_b, s_a)
+
+    def point(self, y_a: np.ndarray) -> _BasisPoint:
+        y_b = self.vh @ y_a
+        red_a, red_b = _vector_reduction(y_a, self.a.s), _vector_reduction(y_b, self.b.s)
+        return _BasisPoint(y_b, red_a, red_b, self.a.traced(y_a, red_a), self.b.traced(y_b, red_b))
+
+    @staticmethod
+    def lemma1(p: _BasisPoint) -> tuple[DefectReport, DefectReport]:
+        """The A->B and B->A reports of :func:`cross_relevance_matrix`:
+        Tr_E'(v^H (rho - P_A rho) v) = Tr_E' rho - tau_a, and B->A alike."""
+        return (
+            _checked_report(p.red_b - p.tau_a, "cross_relevance_matrix A->B"),
+            _checked_report(p.red_a - p.tau_b, "cross_relevance_matrix B->A"),
+        )
+
+    def lemma2(self, p: _BasisPoint) -> float:
+        """:func:`commutator_defect` for type_i specs, in A's basis:
+        P_A P_B rho = tau_b (x) R_A and P_B P_A rho = v (tau_a (x) R_B) v^H,
+        whose product by v is the one d x d product."""
+        ((_, _, ref_a, _),) = self.a.terms
+        ((_, _, _, ref_b_vh),) = self.b.terms
+        comm = _kron(p.tau_b, ref_a) - self.v @ _kron_rows(p.tau_a, None, ref_b_vh, self.b.s)
+        return trace_norm(comm, hermitian=True)
+
+
+class _CrossProjection:
+    """One side of :class:`_BasisKernels`: the projection of structure ``s``
+    with ``spec``, reduced onto the system of structure ``s_to``, whose
+    product basis is ``w`` in ``s``'s coordinates.  ``terms`` holds each
+    term's ``(a_k, b_k, R_k)`` with (I (x) R_k) w."""
+
+    def __init__(self, w: np.ndarray, s: Structure, spec: ProjectionSpec, s_to: Structure):
+        self.s, self.s_to = s, s_to
+        self.terms = tuple((a, b, ref, _kron_rows(None, ref, w, s)) for a, b, ref in _projection_terms(spec))
+        self.w_rows_h = _traced_rows(w, s_to, "S").conj().T
+
+    def traced(self, y: np.ndarray, red: np.ndarray) -> np.ndarray:
+        """Tr_E'(w^H (P rho) w) for rho = y y^H in ``s``'s basis, with
+        ``red`` = Tr_E rho."""
+        x = None
+        for a, b, _, ref_w in self.terms:
+            sigma = red if b is None else _vector_reduction(y, self.s, b)
+            term = _kron_rows(sigma if a is None else a @ sigma, None, ref_w, self.s)
+            x = term if x is None else x + term
+        return self.w_rows_h @ _traced_rows(x, self.s_to, "S")
+
+
+def _vector_reduction(y: np.ndarray, s: Structure, b: np.ndarray | None = None) -> np.ndarray:
+    """Tr_E((I (x) b) y y^H) for vectors ``y`` ``(d, r)`` in the structure's
+    product basis; a ``b`` of None is the identity, giving Tr_E(y y^H)."""
+    width = s.dim_e * y.shape[1]
+    z = y if b is None else _kron_rows(None, b, y, s)
+    return z.reshape(s.dim_s, width) @ y.reshape(s.dim_s, width).conj().T
 
 
 def mutual_information(rho, s: Structure) -> float:
@@ -330,16 +405,17 @@ def mutual_information(rho, s: Structure) -> float:
     the split."""
     rho, spectrum = _checked_spectrum(rho)
     _check_total_dim(rho, s, "mutual_information")
-    return _split_mutual_information(to_structure_basis(rho, s), s, _spectral_entropy(spectrum))
+    m = to_structure_basis(rho, s)
+    return _split_mutual_information(_reduce(m, s, "S"), _reduce(m, s, "E"), _spectral_entropy(spectrum))
 
 
-def _split_mutual_information(m: np.ndarray, s: Structure, entropy_total: float) -> float:
+def _split_mutual_information(red_s: np.ndarray, red_e: np.ndarray, entropy_total: float) -> float:
     """Trusted kernel of :func:`mutual_information`: S(rho_S) + S(rho_E) -
-    ``entropy_total`` for a state ``m`` already in the structure's basis.
-    Each reduction is validated once, and its entropy comes from that
-    validation's spectrum."""
-    entropy_s = _spectral_entropy(_checked_spectrum(_reduce(m, s, "S"), "reduced S state")[1])
-    entropy_e = _spectral_entropy(_checked_spectrum(_reduce(m, s, "E"), "reduced E state")[1])
+    ``entropy_total`` from a split's two reductions, or from matrices that
+    share their nonzero spectra.  Each is validated once, and its entropy
+    comes from that validation's spectrum."""
+    entropy_s = _spectral_entropy(_checked_spectrum(red_s, "reduced S state")[1])
+    entropy_e = _spectral_entropy(_checked_spectrum(red_e, "reduced E state")[1])
     return entropy_s + entropy_e - entropy_total
 
 

@@ -21,16 +21,19 @@ in this process at its BLAS thread count).  ``teleport-check`` and
 A ``lemma1-sweep`` or ``lemma2-sweep`` trial validates its inputs once: the
 state, drawn as its eigen-ensemble, with ``check_ensemble``; the alternate
 structure with its unitarity check; both structure/spec pairs with
-``check_compatible``.  It then works in structure A's product basis with
-the trusted kernels ``relativity._lemma1_in_basis`` and
-``_lemma2_in_basis``, which ``trajectory`` runs too, passing A's spec for
-both structures: B's basis enters as the transition matrix from B to A.
-The trial adds the same-structure defect (``lemma1-sweep``) and the
-idempotency residual ||P_A(P_A rho) - P_A rho||_1 (``lemma2-sweep``);
-every defect and the residual keep their trace-residual checks.  The public
+``check_compatible``.  It then works in structure A's product basis, on the
+state's weighted vectors y_a (rho_A = y_a y_a^H), with the trusted kernels
+of ``relativity._BasisKernels``, which ``trajectory`` runs too, passing A's
+spec for both structures: B's basis enters as the transition matrix from B
+to A.  The kernels form no d x d state; Lemma 1 takes no d x d x d product
+and Lemma 2 takes one.  The trial adds a control on the dense route from
+rho_A: the same-structure defect (``lemma1-sweep``) or the idempotency
+residual ||P_A(P_A rho) - P_A rho||_1 (``lemma2-sweep``).  Every defect and
+the residual keep their trace-residual checks.  A ``qcr-demo`` trial works
+in A's basis too, where its product state is rho_s (x) rho_e.  The public
 functions (``cross_relevance_matrix``, ``commutator_defect``,
-``idempotency_defect``) give the same rows to roundoff and serve as the
-tests' oracle.
+``idempotency_defect``, ``mutual_information``) give the same rows to
+roundoff and serve as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .dynamics import GENERATOR_NAME, RandomStream, _ensemble_density, mix_seed, trajectory
+from .dynamics import GENERATOR_NAME, RandomStream, mix_seed, trajectory
 from .linalg import (
     InvariantViolation,
     _checked_spectrum,
@@ -66,9 +69,8 @@ from .projections import (
 )
 from .relativity import (
     TRACE_RESIDUAL_TOL,
+    _BasisKernels,
     _checked_report,
-    _lemma1_in_basis,
-    _lemma2_in_basis,
     _split_mutual_information,
     bell_pair,
     commutator_defect,
@@ -76,12 +78,12 @@ from .relativity import (
 )
 from .structures import (
     Structure,
+    _kron_rows,
     _reduce,
-    from_structure_basis,
+    _traced_rows,
     reduced_state,
     structure_from_grouping,
     structure_from_unitary,
-    to_structure_basis,
     transition_matrix,
     vector_to_structure_basis,
 )
@@ -329,23 +331,20 @@ def _haar_structure(stream: RandomStream, s_a: Structure) -> Structure:
     return structure_from_unitary(stream.haar_unitary(s_a.total_dim), s_a.dim_s, s_a.dim_e)
 
 
-def _lemma_trial_inputs(
-    cfg: ScenarioConfig, trial: int
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, Structure]:
-    """``(state_kind, rho_a, rho_b, v, s_b)`` of one lemma trial, validated
-    here once: the trial's state in structure A's product basis (``rho_a``)
-    and in the alternate split B's (``rho_b``), ``v`` = B's product basis in
-    A's coordinates, and B itself.  Operators change from A's to B's basis
-    as ``v^H x v`` and back as ``v x v^H``.
+def _lemma_trial_inputs(cfg: ScenarioConfig, trial: int) -> tuple[str, np.ndarray, _BasisKernels]:
+    """``(state_kind, y_a, kernels)`` of one lemma trial, validated here
+    once: the trial's state as its weighted vectors in structure A's product
+    basis, rho_A = y_a y_a^H, and the Lemma kernels of A against the
+    trial's alternate split B.
 
     The state is drawn as its eigen-ensemble (weights, vectors) and checked
     with :func:`check_ensemble`: positive weights summing to 1 and
-    orthonormal vectors make ``Psi diag(p) Psi^H`` Hermitian, unit-trace and
+    orthonormal vectors make ``y_a y_a^H`` Hermitian, unit-trace and
     positive semidefinite, so no density-matrix check follows.  B has A's
     factor dims, so it takes A's spec, the maximally mixed reference; both
     structure/spec pairs are checked.
     """
-    s_a = cfg.structure_a
+    s_a, spec = cfg.structure_a, cfg.projection_a
     dim = s_a.total_dim
     stream = RandomStream(mix_seed(cfg.base_seed, trial))
     # Even trials: Haar pure; odd trials: rank-2 Ginibre mixed.
@@ -355,20 +354,19 @@ def _lemma_trial_inputs(
         kind, (weights, vectors) = "mixed", stream.ginibre_ensemble(dim, min(2, dim))
     weights, vectors = check_ensemble(weights, vectors, name="rho")
     s_b = _haar_structure(stream, s_a)
-    check_compatible(s_a, cfg.projection_a)
-    check_compatible(s_b, cfg.projection_a)
-    v = transition_matrix(s_b, s_a)
-    psi_a = vector_to_structure_basis(vectors, s_a)
-    rho_a = _ensemble_density(weights, psi_a)
-    rho_b = _ensemble_density(weights, v.conj().T @ psi_a)
-    return kind, rho_a, rho_b, v, s_b
+    check_compatible(s_a, spec)
+    check_compatible(s_b, spec)
+    y_a = vector_to_structure_basis(vectors, s_a) * np.sqrt(weights)
+    return kind, y_a, _BasisKernels(transition_matrix(s_b, s_a), s_a, spec, s_b, spec)
 
 
 def _lemma1_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a, spec = cfg.structure_a, cfg.projection_a
-    kind, rho_a, rho_b, v, s_b = _lemma_trial_inputs(cfg, trial)
-    rep_ab, rep_ba, q_a = _lemma1_in_basis(rho_a, rho_b, v, s_a, spec, s_b, spec)
-    rep_aa = _checked_report(_reduce(q_a, s_a, "S"), "lemma1-sweep A->A")
+    kind, y_a, kernels = _lemma_trial_inputs(cfg, trial)
+    rep_ab, rep_ba = kernels.lemma1(kernels.point(y_a))
+    # the same-structure control, on the dense route
+    rho_a = y_a @ y_a.conj().T
+    rep_aa = _checked_report(_reduce(rho_a - _project_in_basis(rho_a, s_a, spec), s_a, "S"), "lemma1-sweep A->A")
     return [
         trial,
         kind,
@@ -407,10 +405,11 @@ def _lemma1_sweep(cfg: ScenarioConfig):
 
 def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a, spec = cfg.structure_a, cfg.projection_a
-    kind, rho_a, rho_b, v, s_b = _lemma_trial_inputs(cfg, trial)
-    defect, p_a_rho = _lemma2_in_basis(rho_a, rho_b, v, s_a, spec, s_b, spec)
-    # the same-spec control: P_A is idempotent, so P_A(P_A rho) - P_A rho
-    # stays at roundoff
+    kind, y_a, kernels = _lemma_trial_inputs(cfg, trial)
+    defect = kernels.lemma2(kernels.point(y_a))
+    # the same-spec control, on the dense route: P_A is idempotent, so
+    # P_A(P_A rho) - P_A rho stays at roundoff
+    p_a_rho = _project_in_basis(y_a @ y_a.conj().T, s_a, spec)
     control = trace_norm(_project_in_basis(p_a_rho, s_a, spec) - p_a_rho, hermitian=True)
     if control > TRACE_RESIDUAL_TOL:
         raise InvariantViolation(f"lemma2-sweep: idempotency residual {control:.3e} exceeds {TRACE_RESIDUAL_TOL:.0e}")
@@ -435,15 +434,22 @@ def _lemma2_sweep(cfg: ScenarioConfig):
 
 
 def _qcr_trial(cfg: ScenarioConfig, trial: int) -> list:
+    """The mutual information of rho = rho_s (x) rho_e, a product state of
+    structure A, in A and in the trial's alternate split B.  Both work in
+    A's basis: B's reductions of v^H rho v come from (rho_s (x) rho_e) v,
+    with ``v = transition_matrix(s_b, s_a)``."""
     s_a = cfg.structure_a
     stream = RandomStream(mix_seed(cfg.base_seed, trial))
     rho_s = stream.ginibre_density(s_a.dim_s, s_a.dim_s)
     rho_e = stream.ginibre_density(s_a.dim_e, s_a.dim_e)
-    rho = from_structure_basis(kron(rho_s, rho_e), s_a)
     s_b = _haar_structure(stream, s_a)
-    rho, spectrum = _checked_spectrum(rho)
+    rho, spectrum = _checked_spectrum(kron(rho_s, rho_e))
     entropy = _spectral_entropy(spectrum)
-    return [trial] + [_split_mutual_information(to_structure_basis(rho, s), s, entropy) for s in (s_a, s_b)]
+    v = transition_matrix(s_b, s_a)
+    x = _kron_rows(rho_s, rho_e, v, s_a)
+    red_b = [_traced_rows(v, s_b, which).conj().T @ _traced_rows(x, s_b, which) for which in ("S", "E")]
+    mi_a = _split_mutual_information(_reduce(rho, s_a, "S"), _reduce(rho, s_a, "E"), entropy)
+    return [trial, mi_a, _split_mutual_information(*red_b, entropy)]
 
 
 def _qcr_demo(cfg: ScenarioConfig):

@@ -203,6 +203,30 @@ def _reduce(m: np.ndarray, s: Structure, which: str) -> np.ndarray:
     return _partial_trace(m, s.dim_s, s.dim_e, "A" if which == "S" else "B")
 
 
+def _kron_rows(a: np.ndarray | None, b: np.ndarray | None, w: np.ndarray, s: Structure) -> np.ndarray:
+    """``(a (x) b) w`` for an array ``w`` whose rows are in the structure's
+    product basis: ``a`` acts on the system index of the rows and ``b`` on
+    the environment index, and None is the identity.  O(d^2 (dim_s +
+    dim_e)) for a d x d ``w``, with no d x d x d product."""
+    cols = w.shape[1]
+    if b is not None:
+        w = np.matmul(b, w.reshape(s.dim_s, s.dim_e, cols))
+    if a is not None:
+        w = a @ w.reshape(s.dim_s, s.dim_e * cols)
+    return w.reshape(s.total_dim, cols)
+
+
+def _traced_rows(w: np.ndarray, s: Structure, which: str) -> np.ndarray:
+    """The columns of ``w``, in the structure's product basis, regrouped so
+    that ``_traced_rows(w, s, which).conj().T @ _traced_rows(x, s, which)``
+    is ``_reduce(w^H x, s, which)`` without forming ``w^H x``: one product
+    over the pairs (row of ``w``, index of the traced factor)."""
+    t = w.reshape(w.shape[0], s.dim_s, s.dim_e)
+    if which == "S":
+        return t.transpose(0, 2, 1).reshape(-1, s.dim_s)
+    return t.reshape(-1, s.dim_e)
+
+
 def reduced_state(rho, s: Structure, which: str) -> np.ndarray:
     """Reduced state of the system (``"S"``) or environment (``"E"``) factor."""
     rho = check_density_matrix(rho)

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpslab import write_matrix_file
+from tpslab import TimeGrid, write_matrix_file
 from tpslab.cli import main
+from tpslab.config import MAX_TIME_STEPS
 
 DYNAMICS_CONFIG = """{
   "version": 1,
@@ -81,14 +82,12 @@ def test_unwritable_output_dir_is_an_io_error(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "io"
 
 
-def test_out_of_memory_is_exit_3(tmp_path, capsys):
+def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     # 10**15 + 1 grid times in float64 need 7.1 PiB, more than any process
-    # address space holds, so the allocation is refused at once
-    config = tmp_path / "dyn.json"
-    config.write_text(
-        (DYNAMICS_CONFIG % "1.5").replace('"steps": 2', '"steps": 1000000000000000'), encoding="utf-8"
-    )
-    assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 3
+    # address space holds, so the allocation is refused at once.  The config
+    # caps steps far below that, so the run asks for them past the config.
+    monkeypatch.setattr(TimeGrid, "times", lambda grid: np.linspace(grid.t0, grid.t1, 10**15 + 1))
+    assert run_cli(tmp_path, "1.5") == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])
@@ -164,6 +163,22 @@ def test_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, text,
     assert validate_error(config, capsys) == f"{named}: integer too large for a float"
 
 
+@pytest.mark.parametrize("steps", [HUGE_INT, "1000000000000000"], ids=["10**400", "10**15"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_too_many_time_steps_is_a_config_error(tmp_path, capsys, command, steps):
+    config = tmp_path / "dyn.json"
+    config.write_text((DYNAMICS_CONFIG % "1.5").replace('"steps": 2', f'"steps": {steps}'), encoding="utf-8")
+    argv = [command, str(config)] + (["--output-dir", str(tmp_path / "out")] if command == "run" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    assert error["message"] == f"time_grid.steps: must be <= {MAX_TIME_STEPS}, got {steps}"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -184,7 +199,10 @@ def test_library_check_is_one_config_error_naming_the_key(tmp_path, capsys, key,
         write_matrix_file(tmp_path / "bad.tpsw", np.triu(np.ones((4, 4))))
     config = tmp_path / "dyn.json"
     config.write_text(json.dumps({**json.loads(DYNAMICS_CONFIG % "1.5"), key: value}), encoding="utf-8")
-    assert validate_error(config, capsys).startswith(f"{key}: ")
+    message = validate_error(config, capsys)
+    # the key once: a library check that names the object itself must not
+    # repeat the config's prefix
+    assert message.startswith(f"{key}: ") and message.count(f"{key}:") == 1, message
 
 
 @pytest.mark.parametrize(

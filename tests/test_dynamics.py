@@ -41,7 +41,10 @@ from tpslab.linalg import ENTROPY_EIGVAL_FLOOR, UNITARITY_TOL, _orthonormality_d
 from tpslab.structures import vector_to_structure_basis
 from conftest import force_route, haar_structure, max_mixed_spec, propagator, spy_routes, stream, teleport_setup
 
-ensemble_density = dynamics._ensemble_density
+
+def ensemble_density(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Psi diag(p) Psi^H: the density matrix of an ensemble."""
+    return (vectors * weights) @ vectors.conj().T
 
 
 def gue_hamiltonian(dim: int, seed: int) -> Hamiltonian:
