@@ -18,6 +18,7 @@ from tpslab import (
     RandomStream,
     TimeGrid,
     TrajectoryPoint,
+    TypeIIIProjection,
     TypeIProjection,
     commutator_defect,
     computational_type_iii,
@@ -332,6 +333,27 @@ def _grouping_and_haar():
     )
 
 
+def _grouping_and_haar_with_ginibre_references():
+    # full-rank references: every R_k acts on the transition matrix's rows
+    return (
+        structure_from_grouping(FOUR_QUBITS, (2,)),
+        TypeIProjection(stream(170).ginibre_density(8, 8)),
+        haar_structure(16, 4, 171),
+        TypeIProjection(stream(172).ginibre_density(4, 4)),
+    )
+
+
+def _two_haar_with_type_iii():
+    # pinching in a Haar basis of E, so that no projector is real or diagonal
+    u = stream(173).haar_unitary(4)
+    return (
+        haar_structure(16, 4, 174),
+        TypeIIIProjection(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(4))),
+        haar_structure(16, 2, 175),
+        TypeIProjection(stream(176).ginibre_density(8, 8)),
+    )
+
+
 def assert_points_close(got, want, tol):
     """Every field equal within ``tol * max(1, |want|)``, the golden reports'
     tolerance."""
@@ -344,9 +366,19 @@ def assert_points_close(got, want, tol):
 class TestTrajectoryMatchesPublicRoute:
     """Both trajectory kernels agree with the public functions to the
     goldens' 1e-12: the grouping-pair closed forms (nested groupings) and
-    the A-basis lemma kernels (a type_iii spec, a Haar structure)."""
+    the A-basis lemma kernels (a type_iii spec, a Haar structure, Ginibre
+    references on both sides, two Haar structures)."""
 
-    @pytest.mark.parametrize("setup", [_nested_groupings, _non_nested_with_type_iii, _grouping_and_haar])
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            _nested_groupings,
+            _non_nested_with_type_iii,
+            _grouping_and_haar,
+            _grouping_and_haar_with_ginibre_references,
+            _two_haar_with_type_iii,
+        ],
+    )
     def test_every_field_exactly_equal(self, setup):
         s_a, spec_a, s_b, spec_b = setup()
         state = stream(161).ginibre_ensemble(16, 3)

@@ -1,6 +1,7 @@
 """Guards on the repository's own sources."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,23 @@ def test_only_structures_reads_the_stored_basis():
         for line in basis_reads(path.read_text(encoding="utf-8"), str(path))
     ]
     assert offenders == []
+
+
+def load_tool(name: str):
+    """A script under tools/ as a module; its main() is not run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_deviations_passes_values_as_the_gate_does():
+    # |change - parent| <= max(abs, rel * |parent|); unlisted columns are exact
+    compare = load_tool("report_deviations")._compare
+    assert compare([2.0, 1.0], [2.0 + 1.5e-9, 1.0], (1e-9, 1e-12)) == (pytest.approx(1.5e-9), pytest.approx(7.5e-10), True)
+    assert not compare([2.0], [2.0 + 3e-9], (1e-9, 1e-12))[2]
+    assert compare([0.0], [1e-13], (0.0, 1e-12))[2]
+    assert not compare([0.0], [1e-15], None)[2]
+    assert compare(["pure"], ["pure"], None)[2] and not compare(["pure"], ["mixed"], None)[2]
+    assert compare([float("nan")], [float("nan")], (1e-9, 1e-12))[2]
+    assert not compare([1.0], [float("nan")], (1e-9, 1e-12))[2]

@@ -49,8 +49,7 @@ for config, out in zip(args[0::2], args[1::2]):
 
 
 def _configs(change: Path, directory: Path) -> list[tuple[str, Path]]:
-    sys.path.insert(0, str(change / "perfbench"))
-    import workloads
+    import workloads  # CHANGE's perfbench/, which main() puts on the path
 
     configs = [(f"golden/{p.parent.name}", p) for p in sorted((change / "tests" / "golden").glob("*/config.json"))]
     for name in workloads.WORKLOADS:
