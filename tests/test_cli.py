@@ -85,7 +85,7 @@ def test_unwritable_output_dir_is_an_io_error(tmp_path, capsys):
 def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     # 10**15 + 1 grid times in float64 need 7.1 PiB, more than any process
     # address space holds, so the allocation is refused at once.  The config
-    # caps steps far below that, so the run asks for them past the config.
+    # rejects that many steps, so the grid's times() asks for them instead.
     monkeypatch.setattr(TimeGrid, "times", lambda grid: np.linspace(grid.t0, grid.t1, 10**15 + 1))
     assert run_cli(tmp_path, "1.5") == 3
     lines = capsys.readouterr().err.splitlines()
