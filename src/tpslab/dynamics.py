@@ -49,7 +49,14 @@ from .linalg import (
     require_hermitian,
 )
 from .projections import ProjectionSpec, TypeIProjection, check_compatible
-from .relativity import DefectReport, _BasisKernels, _checked_report, _split_mutual_information
+from .relativity import (
+    DefectReport,
+    _checked_report,
+    _lemma1_in_basis,
+    _lemma2_in_basis,
+    _lemma_terms,
+    _split_mutual_information,
+)
 from .structures import Structure, transition_matrix, vector_to_structure_basis
 
 GENERATOR_NAME = "pcg64+splitmix64+box-muller:v1"
@@ -402,24 +409,24 @@ class _BasisPair:
     """Any two structures with any specs.  At each time the weighted
     vectors change to A's product basis, and the Lemma kernels of
     :mod:`relativity`, which the lemma sweeps run too, take them from there
-    with ``v = transition_matrix(s_b, s_a)``; they apply the references to
-    v once, here.  No d x d state is formed.  The Lemma 2 value is NaN
-    unless ``both_type_i``."""
+    with ``v = transition_matrix(s_b, s_a)``.  No d x d state is formed.
+    The Lemma 2 value is NaN unless ``both_type_i``."""
 
     def __init__(self, s_a, spec_a, s_b, spec_b, both_type_i: bool):
-        self.kernels = _BasisKernels(transition_matrix(s_b, s_a), s_a, spec_a, s_b, spec_b)
+        self.pair = (s_a, spec_a, s_b, spec_b)
+        self.v = transition_matrix(s_b, s_a)
         self.both_type_i = both_type_i
 
     def defects(self, y: np.ndarray):
         """As :meth:`_GroupingPair.defects`."""
-        s_a, s_b = self.kernels.a.s, self.kernels.b.s
+        s_a, spec_a, s_b, spec_b = self.pair
         y_a = vector_to_structure_basis(y, s_a)
-        p = self.kernels.point(y_a)
-        rep_ab, rep_ba = self.kernels.lemma1(p)
-        lemma2 = self.kernels.lemma2(p) if self.both_type_i else math.nan
+        y_b, red_a, red_b, tau_a, tau_b = _lemma_terms(y_a, self.v, *self.pair)
+        rep_ab, rep_ba = _lemma1_in_basis(red_a, red_b, tau_a, tau_b)
+        lemma2 = _lemma2_in_basis(self.v, tau_a, tau_b, spec_a, s_b, spec_b) if self.both_type_i else math.nan
         r = y.shape[1]
-        side_a = (y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), p.red_a)
-        side_b = (p.y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), p.red_b)
+        side_a = (y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), red_a)
+        side_b = (y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), red_b)
         return rep_ab, rep_ba, lemma2, side_a, side_b
 
 

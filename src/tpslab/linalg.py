@@ -32,7 +32,8 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     out = np.asarray(m, dtype=np.complex128)
     if out.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    # a complex entry is finite when both its parts are: one pass, not two
+    if not np.isfinite(out).all():
         raise ValueError(f"{name}: entries must be finite")
     return out
 
@@ -42,7 +43,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     out = np.asarray(v, dtype=np.complex128)
     if out.ndim != 1:
         raise ValueError(f"{name}: expected a 1-D array, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name}: entries must be finite")
     return out
 
@@ -56,7 +57,11 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
 
 def hermiticity_defect(m) -> float:
     """Max-entry distance to the adjoint, relative to the largest entry."""
-    m = require_square(m)
+    return _hermiticity_defect(require_square(m))
+
+
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """Trusted kernel of :func:`hermiticity_defect` for a square complex128 array."""
     scale = float(np.abs(m).max())
     if scale == 0.0:
         return 0.0
@@ -65,7 +70,7 @@ def hermiticity_defect(m) -> float:
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     m = require_square(m, name)
-    defect = hermiticity_defect(m)
+    defect = _hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     return m
@@ -199,7 +204,7 @@ def trace_norm(m, hermitian: bool = False) -> float:
     for the general route.
     """
     m = require_square(m, "trace_norm input")
-    if hermitian or hermiticity_defect(m) <= 1e-8:
+    if hermitian or _hermiticity_defect(m) <= 1e-8:
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         return float(np.abs(w).sum())
     w = np.linalg.eigvalsh(m.conj().T @ m)

@@ -10,7 +10,7 @@ via mutual information.
 
 The public functions take d x d states in reference coordinates; they are
 the dense route, and the tests' oracle.  The lemma sweeps and
-``trajectory`` run the trusted kernels of :class:`_BasisKernels` instead.
+``trajectory`` run the trusted kernels of :func:`_lemma_terms` instead.
 These take a state's weighted vectors in one structure's product basis and
 form no d x d state: a projected state is a short sum of Kronecker
 products, which changes basis and reduces through products with the
@@ -308,87 +308,55 @@ def commutator_defect(
     return trace_norm(comm, hermitian=True)
 
 
-@dataclass(frozen=True, eq=False)
-class _BasisPoint:
-    """What :class:`_BasisKernels` takes from one state: its weighted
-    vectors ``y_b`` in B's basis, the system reductions ``red_a`` = Tr_E rho
-    and ``red_b`` = Tr_E' rho, and the projected states reduced across:
-    ``tau_a`` = Tr_E'(v^H (P_A rho) v) and ``tau_b`` = Tr_E(v (P_B rho) v^H)."""
-
-    y_b: np.ndarray
-    red_a: np.ndarray
-    red_b: np.ndarray
-    tau_a: np.ndarray
-    tau_b: np.ndarray
-
-
-class _BasisKernels:
-    """The Lemma 1 and Lemma 2 kernels of a pair of structures A and B with
-    any specs, on a state given as its weighted vectors ``y_a`` in A's
-    product basis: rho_A = y_a y_a^H.  ``v = transition_matrix(s_b, s_a)``,
-    so operators change from A's to B's basis as ``v^H x v`` and vectors as
-    ``v^H y``.  The lemma sweeps build one per trial and ``trajectory`` one
-    per pair.
-
-    A projected state is a short sum of Kronecker products sigma_k (x) R_k
-    (:func:`projections._projection_terms`), so it changes basis and
-    reduces without being formed: (sigma_k (x) R_k) v applies sigma_k to
-    v's S rows and R_k to its E rows, and the E' trace of v^H times that is
-    one product (:func:`structures._traced_rows`).  Each R_k is applied to
-    v here, once.  The Lemma 1 defects then take no d x d x d product, and
-    the Lemma 2 commutator takes one.
-    """
-
-    def __init__(self, v: np.ndarray, s_a: Structure, spec_a: ProjectionSpec, s_b: Structure, spec_b: ProjectionSpec):
-        self.v = v
-        self.vh = np.ascontiguousarray(v.conj().T)
-        self.a = _CrossProjection(v, s_a, spec_a, s_b)
-        self.b = _CrossProjection(self.vh, s_b, spec_b, s_a)
-
-    def point(self, y_a: np.ndarray) -> _BasisPoint:
-        y_b = self.vh @ y_a
-        red_a, red_b = _vector_reduction(y_a, self.a.s), _vector_reduction(y_b, self.b.s)
-        return _BasisPoint(y_b, red_a, red_b, self.a.traced(y_a, red_a), self.b.traced(y_b, red_b))
-
-    @staticmethod
-    def lemma1(p: _BasisPoint) -> tuple[DefectReport, DefectReport]:
-        """The A->B and B->A reports of :func:`cross_relevance_matrix`:
-        Tr_E'(v^H (rho - P_A rho) v) = Tr_E' rho - tau_a, and B->A alike."""
-        return (
-            _checked_report(p.red_b - p.tau_a, "cross_relevance_matrix A->B"),
-            _checked_report(p.red_a - p.tau_b, "cross_relevance_matrix B->A"),
-        )
-
-    def lemma2(self, p: _BasisPoint) -> float:
-        """:func:`commutator_defect` for type_i specs, in A's basis:
-        P_A P_B rho = tau_b (x) R_A and P_B P_A rho = v (tau_a (x) R_B) v^H,
-        whose product by v is the one d x d product."""
-        ((_, _, ref_a, _),) = self.a.terms
-        ((_, _, _, ref_b_vh),) = self.b.terms
-        comm = _kron(p.tau_b, ref_a) - self.v @ _kron_rows(p.tau_a, None, ref_b_vh, self.b.s)
-        return trace_norm(comm, hermitian=True)
+def _lemma_terms(y_a: np.ndarray, v: np.ndarray, s_a: Structure, spec_a: ProjectionSpec, s_b: Structure, spec_b: ProjectionSpec):
+    """Trusted kernel of both Lemmas for one state, given as its weighted
+    vectors ``y_a`` in A's product basis (rho_A = y_a y_a^H), with
+    ``v = transition_matrix(s_b, s_a)``: operators change from A's to B's
+    basis as ``v^H x v`` and vectors as ``v^H y``.  Returns ``(y_b, red_a,
+    red_b, tau_a, tau_b)``: the vectors in B's basis, the system reductions
+    Tr_E rho and Tr_E' rho, and the projected states reduced across,
+    tau_a = Tr_E'(v^H (P_A rho) v) and tau_b = Tr_E(v (P_B rho) v^H).  No
+    d x d state is formed, and no d x d x d product taken."""
+    vh = v.conj().T
+    y_b = vh @ y_a
+    red_a, red_b = _vector_reduction(y_a, s_a), _vector_reduction(y_b, s_b)
+    tau_a = _cross_reduction(v, y_a, red_a, s_a, spec_a, s_b)
+    tau_b = _cross_reduction(vh, y_b, red_b, s_b, spec_b, s_a)
+    return y_b, red_a, red_b, tau_a, tau_b
 
 
-class _CrossProjection:
-    """One side of :class:`_BasisKernels`: the projection of structure ``s``
-    with ``spec``, reduced onto the system of structure ``s_to``, whose
-    product basis is ``w`` in ``s``'s coordinates.  ``terms`` holds each
-    term's ``(a_k, b_k, R_k)`` with (I (x) R_k) w."""
+def _lemma1_in_basis(red_a, red_b, tau_a, tau_b) -> tuple[DefectReport, DefectReport]:
+    """The A->B and B->A reports of :func:`cross_relevance_matrix` from the
+    terms of :func:`_lemma_terms`: Tr_E'(v^H (rho - P_A rho) v) is
+    Tr_E' rho - tau_a, and B->A alike."""
+    return (
+        _checked_report(red_b - tau_a, "cross_relevance_matrix A->B"),
+        _checked_report(red_a - tau_b, "cross_relevance_matrix B->A"),
+    )
 
-    def __init__(self, w: np.ndarray, s: Structure, spec: ProjectionSpec, s_to: Structure):
-        self.s, self.s_to = s, s_to
-        self.terms = tuple((a, b, ref, _kron_rows(None, ref, w, s)) for a, b, ref in _projection_terms(spec))
-        self.w_rows_h = _traced_rows(w, s_to, "S").conj().T
 
-    def traced(self, y: np.ndarray, red: np.ndarray) -> np.ndarray:
-        """Tr_E'(w^H (P rho) w) for rho = y y^H in ``s``'s basis, with
-        ``red`` = Tr_E rho."""
-        x = None
-        for a, b, _, ref_w in self.terms:
-            sigma = red if b is None else _vector_reduction(y, self.s, b)
-            term = _kron_rows(sigma if a is None else a @ sigma, None, ref_w, self.s)
-            x = term if x is None else x + term
-        return self.w_rows_h @ _traced_rows(x, self.s_to, "S")
+def _lemma2_in_basis(v, tau_a, tau_b, spec_a: TypeIProjection, s_b: Structure, spec_b: TypeIProjection) -> float:
+    """:func:`commutator_defect` from the terms of :func:`_lemma_terms`, in
+    A's basis: P_A P_B rho = tau_b (x) R_A and P_B P_A rho =
+    v (tau_a (x) R_B) v^H, whose product by v is the one d x d product."""
+    comm = _kron(tau_b, spec_a.rho_ref) - v @ _kron_rows(tau_a, spec_b.rho_ref, v.conj().T, s_b)
+    return trace_norm(comm, hermitian=True)
+
+
+def _cross_reduction(w, y, red, s: Structure, spec: ProjectionSpec, s_to: Structure) -> np.ndarray:
+    """Tr_E'(w^H (P rho) w) for rho = y y^H in ``s``'s product basis, with
+    ``red`` = Tr_E rho, where the columns of ``w`` are ``s_to``'s product
+    basis in ``s``'s coordinates.  P rho is a short sum of Kronecker products
+    sigma_k (x) R_k (:func:`projections._projection_terms`), so each term
+    acts on w's rows, sigma_k on the S index and R_k on the E index, and the
+    E' trace of w^H times their sum is one product
+    (:func:`structures._traced_rows`)."""
+    x = None
+    for a, b, ref in _projection_terms(spec):
+        sigma = red if b is None else _vector_reduction(y, s, b)
+        term = _kron_rows(sigma if a is None else a @ sigma, ref, w, s)
+        x = term if x is None else x + term
+    return _traced_rows(w, s_to, "S").conj().T @ _traced_rows(x, s_to, "S")
 
 
 def _vector_reduction(y: np.ndarray, s: Structure, b: np.ndarray | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ state, drawn as its eigen-ensemble, with ``check_ensemble``; the alternate
 structure with its unitarity check; both structure/spec pairs with
 ``check_compatible``.  It then works in structure A's product basis, on the
 state's weighted vectors y_a (rho_A = y_a y_a^H), with the trusted kernels
-of ``relativity._BasisKernels``, which ``trajectory`` runs too, passing A's
+of ``relativity._lemma_terms``, which ``trajectory`` runs too, passing A's
 spec for both structures: B's basis enters as the transition matrix from B
 to A.  The kernels form no d x d state; Lemma 1 takes no d x d x d product
 and Lemma 2 takes one.  The trial adds a control on the dense route from
@@ -69,8 +69,10 @@ from .projections import (
 )
 from .relativity import (
     TRACE_RESIDUAL_TOL,
-    _BasisKernels,
     _checked_report,
+    _lemma1_in_basis,
+    _lemma2_in_basis,
+    _lemma_terms,
     _split_mutual_information,
     bell_pair,
     commutator_defect,
@@ -331,11 +333,11 @@ def _haar_structure(stream: RandomStream, s_a: Structure) -> Structure:
     return structure_from_unitary(stream.haar_unitary(s_a.total_dim), s_a.dim_s, s_a.dim_e)
 
 
-def _lemma_trial_inputs(cfg: ScenarioConfig, trial: int) -> tuple[str, np.ndarray, _BasisKernels]:
-    """``(state_kind, y_a, kernels)`` of one lemma trial, validated here
+def _lemma_trial_inputs(cfg: ScenarioConfig, trial: int) -> tuple[str, np.ndarray, np.ndarray, Structure]:
+    """``(state_kind, y_a, v, s_b)`` of one lemma trial, validated here
     once: the trial's state as its weighted vectors in structure A's product
-    basis, rho_A = y_a y_a^H, and the Lemma kernels of A against the
-    trial's alternate split B.
+    basis, rho_A = y_a y_a^H, ``v`` = B's product basis in A's coordinates,
+    and the trial's alternate split B itself.
 
     The state is drawn as its eigen-ensemble (weights, vectors) and checked
     with :func:`check_ensemble`: positive weights summing to 1 and
@@ -357,13 +359,13 @@ def _lemma_trial_inputs(cfg: ScenarioConfig, trial: int) -> tuple[str, np.ndarra
     check_compatible(s_a, spec)
     check_compatible(s_b, spec)
     y_a = vector_to_structure_basis(vectors, s_a) * np.sqrt(weights)
-    return kind, y_a, _BasisKernels(transition_matrix(s_b, s_a), s_a, spec, s_b, spec)
+    return kind, y_a, transition_matrix(s_b, s_a), s_b
 
 
 def _lemma1_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a, spec = cfg.structure_a, cfg.projection_a
-    kind, y_a, kernels = _lemma_trial_inputs(cfg, trial)
-    rep_ab, rep_ba = kernels.lemma1(kernels.point(y_a))
+    kind, y_a, v, s_b = _lemma_trial_inputs(cfg, trial)
+    rep_ab, rep_ba = _lemma1_in_basis(*_lemma_terms(y_a, v, s_a, spec, s_b, spec)[1:])
     # the same-structure control, on the dense route
     rho_a = y_a @ y_a.conj().T
     rep_aa = _checked_report(_reduce(rho_a - _project_in_basis(rho_a, s_a, spec), s_a, "S"), "lemma1-sweep A->A")
@@ -405,8 +407,9 @@ def _lemma1_sweep(cfg: ScenarioConfig):
 
 def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
     s_a, spec = cfg.structure_a, cfg.projection_a
-    kind, y_a, kernels = _lemma_trial_inputs(cfg, trial)
-    defect = kernels.lemma2(kernels.point(y_a))
+    kind, y_a, v, s_b = _lemma_trial_inputs(cfg, trial)
+    tau_a, tau_b = _lemma_terms(y_a, v, s_a, spec, s_b, spec)[3:]
+    defect = _lemma2_in_basis(v, tau_a, tau_b, spec, s_b, spec)
     # the same-spec control, on the dense route: P_A is idempotent, so
     # P_A(P_A rho) - P_A rho stays at roundoff
     p_a_rho = _project_in_basis(y_a @ y_a.conj().T, s_a, spec)

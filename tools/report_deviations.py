@@ -5,7 +5,8 @@ Usage::
     python tools/report_deviations.py PARENT CHANGE
 
 ``PARENT`` and ``CHANGE`` are roots of tpslab checkouts.  Both checkouts'
-CLIs run on the same configs: the golden configs under ``CHANGE``'s
+CLIs run on the same configs, those of ``tools/report_digests.py`` as
+``CHANGE`` lists them: the golden configs under ``CHANGE``'s
 ``tests/golden/`` and every variant of every workload that ``CHANGE``'s
 ``perfbench/workloads.write_inputs`` writes, into a temporary directory.
 Each checkout runs in its own interpreter with its ``src/`` first on the
@@ -46,17 +47,6 @@ for config, out in zip(args[0::2], args[1::2]):
         code = main(["run", config, "--output-dir", out])
     print(code, flush=True)
 """
-
-
-def _configs(change: Path, directory: Path) -> list[tuple[str, Path]]:
-    import workloads  # CHANGE's perfbench/, which main() puts on the path
-
-    configs = [(f"golden/{p.parent.name}", p) for p in sorted((change / "tests" / "golden").glob("*/config.json"))]
-    for name in workloads.WORKLOADS:
-        for variant in range(workloads.VARIANTS):
-            paths = workloads.write_inputs(name, variant, directory / name / str(variant))
-            configs += [(f"{name}/v{variant}/{key}", path) for key, path in paths.items()]
-    return configs
 
 
 def _run(checkout: Path, configs: list[tuple[str, Path]], out: Path) -> list[int]:
@@ -115,11 +105,12 @@ def main(argv: list[str]) -> int:
     parent, change = (Path(a).resolve() for a in argv)
     sys.path.insert(0, str(change / "perfbench"))
     from gate import COLUMN_TOLERANCE
+    from report_digests import report_configs  # this script's directory is first on the path
 
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        configs = _configs(change, tmp / "inputs")
+        configs = report_configs(change, tmp / "inputs")
         codes = {side: _run(root, configs, tmp / side) for side, root in (("parent", parent), ("change", change))}
         print(f"{'config':<28} {'column':<36} {'max_abs':>10} {'max_rel':>10}  tolerance (rel, abs)")
         for i, (label, _) in enumerate(configs):

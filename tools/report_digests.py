@@ -52,21 +52,29 @@ def _digest(main, config: Path, out: Path) -> str:
     return h.hexdigest()
 
 
+def report_configs(root: Path, directory: Path) -> list[tuple[str, Path]]:
+    """``(label, path)`` of every config the report tools run: the golden
+    configs under ``root``'s ``tests/golden/``, then every variant of every
+    workload, written under ``directory`` by ``root``'s
+    ``perfbench/workloads.write_inputs``, which must be first on the path."""
+    import workloads
+
+    configs = [(f"golden/{p.parent.name}", p) for p in sorted((root / "tests" / "golden").glob("*/config.json"))]
+    for name in workloads.WORKLOADS:
+        for variant in range(workloads.VARIANTS):
+            paths = workloads.write_inputs(name, variant, directory / name / str(variant))
+            configs += [(f"{name}/v{variant}/{key}", path) for key, path in paths.items()]
+    return configs
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import workloads
     from tpslab.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        configs = [
-            (f"golden/{p.parent.name}", p) for p in sorted((root / "tests" / "golden").glob("*/config.json"))
-        ]
-        for name in workloads.WORKLOADS:
-            for variant in range(workloads.VARIANTS):
-                paths = workloads.write_inputs(name, variant, tmp / "inputs" / name / str(variant))
-                configs += [(f"{name}/v{variant}/{key}", path) for key, path in paths.items()]
+        configs = report_configs(root, tmp / "inputs")
         for i, (label, config) in enumerate(configs):
             print(f"{_digest(cli_main, config, tmp / 'out' / str(i))}  {label}", flush=True)
     return 0
