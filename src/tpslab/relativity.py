@@ -308,7 +308,7 @@ def commutator_defect(
     return trace_norm(comm, hermitian=True)
 
 
-def _lemma_terms(y_a: np.ndarray, v: np.ndarray, s_a: Structure, spec_a: ProjectionSpec, s_b: Structure, spec_b: ProjectionSpec):
+def _lemma_terms(y_a, v, s_a, spec_a, s_b, spec_b) -> tuple[np.ndarray, ...]:
     """Trusted kernel of both Lemmas for one state, given as its weighted
     vectors ``y_a`` in A's product basis (rho_A = y_a y_a^H), with
     ``v = transition_matrix(s_b, s_a)``: operators change from A's to B's

@@ -38,6 +38,18 @@ def kron_loop_oracle(a, b):
     return out
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(0.0, np.nan)])
+def test_a_non_finite_part_of_any_entry_is_rejected(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match="entries must be finite"):
+        linalg.as_matrix(m)
+    v = np.ones(2, dtype=complex)
+    v[1] = bad
+    with pytest.raises(ValueError, match="entries must be finite"):
+        linalg.as_vector(v)
+
+
 class TestKron:
     def test_identity(self):
         np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
@@ -167,7 +179,7 @@ class TestTraceNorm:
         m[0, 1] += 3e-18
         assert hermiticity_defect(m) > 1e-8
         want = float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum())
-        monkeypatch.setattr(linalg, "hermiticity_defect", lambda m: pytest.fail("tested Hermiticity"))
+        monkeypatch.setattr(linalg, "_hermiticity_defect", lambda m: pytest.fail("tested Hermiticity"))
         assert trace_norm(m, hermitian=True) == want
 
     def test_internal_callers_pass_hermitian(self, monkeypatch):
