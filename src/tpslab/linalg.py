@@ -32,7 +32,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     out = np.asarray(m, dtype=np.complex128)
     if out.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got ndim={out.ndim}")
-    # a complex entry is finite when both its parts are: one pass, not two
+    # np.isfinite of a complex entry tests both its parts
     if not np.isfinite(out).all():
         raise ValueError(f"{name}: entries must be finite")
     return out
