@@ -41,12 +41,12 @@ import numpy as np
 from .linalg import (
     UNITARITY_TOL,
     InvariantViolation,
+    _checked_hermitian,
     _orthonormality_defect,
     _phases,
     _spectral_entropy,
     check_ensemble,
     purity,
-    require_hermitian,
 )
 from .projections import ProjectionSpec, TypeIProjection, check_compatible
 from .relativity import (
@@ -83,8 +83,9 @@ def mix_seed(base_seed: int, trial_index: int) -> int:
     return z ^ (z >> 31)
 
 
-# Complex normals drawn per Box-Muller pass; bounds its temporaries to a few MiB.
-_NORMALS_CHUNK = 1 << 16
+# Complex normals drawn per Box-Muller pass: its temporaries, a few hundred
+# KiB, stay in cache and reuse freed memory instead of faulting in new pages.
+_NORMALS_CHUNK = 1 << 13
 
 
 class RandomStream:
@@ -168,13 +169,17 @@ def _check_dim(dim: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian generator of the unitary dynamics, stored as (H + H^H) / 2."""
+    """Hermitian generator of the unitary dynamics, stored read-only as
+    (H + H^H) / 2.  An exactly Hermitian H, as :meth:`RandomStream.gue`
+    builds, is its own Hermitian part and is stored as one copy; the
+    Hermiticity check works in row blocks, so set-up adds no temporary of
+    H's size."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = require_hermitian(self.mat, name="H")
-        mat = (mat + mat.conj().T) / 2
+        mat, defect = _checked_hermitian(self.mat, "H")
+        mat = mat.copy() if defect == 0.0 else (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 

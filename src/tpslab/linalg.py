@@ -60,20 +60,47 @@ def hermiticity_defect(m) -> float:
     return _hermiticity_defect(require_square(m))
 
 
+_HERMITICITY_BLOCK_BYTES = 1 << 17  # bounds the temporaries of a Hamiltonian's check
+
+
 def _hermiticity_defect(m: np.ndarray) -> float:
-    """Trusted kernel of :func:`hermiticity_defect` for a square complex128 array."""
-    scale = float(np.abs(m).max())
+    """Trusted kernel of :func:`hermiticity_defect` for a square complex128
+    array, taken in row blocks of at most _HERMITICITY_BLOCK_BYTES: both
+    maxima are exact, so the value does not depend on the block size."""
+    rows = max(1, _HERMITICITY_BLOCK_BYTES // (16 * m.shape[1]))
+    scale = distance = 0.0
+    for start in range(0, m.shape[0], rows):
+        block = m[start : start + rows]
+        scale = max(scale, float(np.abs(block).max()))
+        distance = max(distance, float(np.abs(block - m[:, start : start + rows].conj().T).max()))
     if scale == 0.0:
         return 0.0
-    return float(np.abs(m - m.conj().T).max() / scale)
+    return distance / scale
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+    return _checked_hermitian(m, name)[0]
+
+
+def _checked_hermitian(m, name: str) -> tuple[np.ndarray, float]:
+    """:func:`require_hermitian` that also returns the relative defect, which
+    is 0 exactly when the matrix equals its adjoint."""
     m = require_square(m, name)
     defect = _hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
-    return m
+    return m, defect
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of a square complex128 array that is Hermitian by
+    test or by construction: the eigenvalues of its Hermitian part.  An
+    exactly diagonal array, such as a maximally mixed reference or a zero
+    matrix, gives its sorted real diagonal, with no O(d^3) eigensolver call."""
+    diagonal = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        return np.sort(diagonal.real)
+    return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
 def _checked_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
@@ -83,13 +110,7 @@ def _checked_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name}: trace is {tr:.12g}, expected 1 within {TRACE_TOL:.0e}")
-    diagonal = np.diagonal(rho)
-    if np.count_nonzero(rho) == np.count_nonzero(diagonal):
-        # exactly diagonal, such as a maximally mixed reference: the spectrum
-        # is the real diagonal, with no O(d^3) eigensolver call
-        w = np.sort(diagonal.real)
-    else:
-        w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    w = _hermitian_spectrum(rho)
     if w[0] < PSD_FLOOR:
         raise ValueError(f"{name}: not positive semidefinite (min eigenvalue {w[0]:.3e})")
     return rho, w
@@ -196,7 +217,8 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
 def trace_norm(m, hermitian: bool = False) -> float:
     """Sum of singular values.
 
-    Hermitian inputs (relative defect <= 1e-8) use eigenvalue moduli; the
+    Hermitian inputs (relative defect <= 1e-8) use the moduli of
+    :func:`_hermitian_spectrum`, the spectrum rule of the state checks; the
     general case uses the square root of the spectrum of ``m^H m``.
     ``hermitian=True`` takes the Hermitian route without the test: for
     callers whose input is Hermitian by construction, so that a
@@ -205,8 +227,7 @@ def trace_norm(m, hermitian: bool = False) -> float:
     """
     m = require_square(m, "trace_norm input")
     if hermitian or _hermiticity_defect(m) <= 1e-8:
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        return float(np.abs(w).sum())
+        return float(np.abs(_hermitian_spectrum(m)).sum())
     w = np.linalg.eigvalsh(m.conj().T @ m)
     return float(np.sqrt(np.clip(w, 0.0, None)).sum())
 

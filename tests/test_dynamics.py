@@ -99,7 +99,7 @@ class TestRandomEnsembles:
         assert w[0] >= -1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("n", [5, 4096, 2**20])
+    @pytest.mark.parametrize("n", [5, 4096, 8193, 2**20])
     def test_complex_normals_equal_one_box_muller_draw(self, n):
         # the documented formula over a single draw of all n uniform pairs
         u = np.random.Generator(np.random.PCG64(43)).random((n, 2))
@@ -165,6 +165,14 @@ class TestHamiltonian:
         np.testing.assert_array_equal(h.mat, (m + m.conj().T) / 2)
         np.testing.assert_array_equal(h.mat, h.mat.conj().T)
         assert not h.mat.flags.writeable
+
+    def test_stores_an_exactly_hermitian_matrix_as_given(self):
+        m = stream(146).gue(6)
+        want = m.tobytes()
+        h = Hamiltonian(m)
+        assert h.mat.tobytes() == want
+        assert not h.mat.flags.writeable
+        assert m.flags.writeable and not np.shares_memory(h.mat, m)
 
 
 class TestEvolve:

@@ -192,6 +192,26 @@ class TestTraceNorm:
         m = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert abs(trace_norm(m) - 2.0) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "m", [np.zeros((5, 5)), np.diag([0.5, -2.0, 0.0, 1e-17, -0.25 + 0.5j])], ids=["zero", "diagonal"]
+    )
+    def test_diagonal_input_needs_no_eigensolver(self, monkeypatch, m):
+        want = float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum())
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("eigvalsh called"))
+        assert trace_norm(m, hermitian=True) == want
+
+
+class TestHermiticityDefect:
+    def test_value_does_not_depend_on_the_row_block(self, monkeypatch):
+        m = stream(171).complex_matrix(40, 40)
+        m += m.conj().T
+        m[29, 3] += 1e-3
+        want = float(np.abs(m - m.conj().T).max() / np.abs(m).max())
+        for block_bytes in (1, 16 * 40 * 7, 1 << 17):  # one row, 7 rows, one block
+            monkeypatch.setattr(linalg, "_HERMITICITY_BLOCK_BYTES", block_bytes)
+            assert hermiticity_defect(m) == want
+        assert hermiticity_defect(np.zeros((3, 3))) == 0.0
+
 
 class TestSchmidt:
     def test_product_state(self):

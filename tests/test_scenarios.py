@@ -1,5 +1,5 @@
 """Sweep trials in worker processes against the same trials in-process, and
-the lemma sweeps' trial path against the public dense route."""
+the sweeps' trial paths against the public dense route."""
 
 import dataclasses
 import functools
@@ -19,9 +19,12 @@ from tpslab import (
     RandomStream,
     commutator_defect,
     cross_relevance_matrix,
+    from_structure_basis,
     idempotency_defect,
+    kron,
     load_config,
     mix_seed,
+    mutual_information,
     relativity,
     scenarios,
     structure_from_grouping,
@@ -240,7 +243,8 @@ ORACLE_CASES = [(layout, kind) for layout in ORACLE_LAYOUTS for kind in ("groupi
 
 @pytest.fixture(scope="module")
 def oracle_configs(tmp_path_factory):
-    """``(layout, kind) -> (lemma1 config, lemma2 config)``, loaded from files."""
+    """``(layout, kind) -> (lemma1 config, lemma2 config, qcr config)``,
+    loaded from files."""
     directory = tmp_path_factory.mktemp("oracle")
     configs = {}
     for layout, kind in ORACLE_CASES:
@@ -258,7 +262,7 @@ def oracle_configs(tmp_path_factory):
             write_matrix_file(path, w, split_dim=dim_s)
             structure_a = {"unitary_file": path.name}
         pair = []
-        for scenario in ("lemma1-sweep", "lemma2-sweep"):
+        for scenario in SWEEPS:
             config = directory / f"{layout}-{kind}-{scenario}.json"
             cfg = {"version": 1, "scenario": scenario, "base_seed": 0, "output_dir": "out",
                    "layout": dims, "structure_a": structure_a, "trials": 1}
@@ -310,8 +314,34 @@ def assert_rows_close(got: list, want: list) -> None:
     pair=st.integers(0, 10**6),
 )
 def test_lemma_rows_equal_the_public_dense_route(oracle_configs, case, base_seed, pair):
-    lemma1_cfg, lemma2_cfg = (dataclasses.replace(c, base_seed=base_seed) for c in oracle_configs[case])
+    lemma1_cfg, lemma2_cfg, _ = (dataclasses.replace(c, base_seed=base_seed) for c in oracle_configs[case])
     for trial in (2 * pair, 2 * pair + 1):  # one pure and one mixed state
         want1, want2 = public_route_rows(lemma1_cfg, trial)
         assert_rows_close(scenarios._lemma1_trial(lemma1_cfg, trial), want1)
         assert_rows_close(scenarios._lemma2_trial(lemma2_cfg, trial), want2)
+
+
+def public_qcr_row(cfg, trial: int) -> list:
+    """The qcr row of one trial from :func:`mutual_information`, on the dense
+    product state rho_s (x) rho_e of structure A in reference coordinates."""
+    s_a = cfg.structure_a
+    stream = RandomStream(mix_seed(cfg.base_seed, trial))
+    rho_s = stream.ginibre_density(s_a.dim_s, s_a.dim_s)
+    rho_e = stream.ginibre_density(s_a.dim_e, s_a.dim_e)
+    s_b = structure_from_unitary(stream.haar_unitary(s_a.total_dim), s_a.dim_s, s_a.dim_e)
+    rho = from_structure_basis(kron(rho_s, rho_e), s_a)
+    return [trial, mutual_information(rho, s_a), mutual_information(rho, s_b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(ORACLE_CASES),
+    base_seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 10**6),
+)
+def test_qcr_rows_equal_the_public_dense_route(oracle_configs, case, base_seed, trial):
+    cfg = dataclasses.replace(oracle_configs[case][2], base_seed=base_seed)
+    got, want = scenarios._qcr_trial(cfg, trial), public_qcr_row(cfg, trial)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (got, want)
