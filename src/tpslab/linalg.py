@@ -67,7 +67,7 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     """Trusted kernel of :func:`hermiticity_defect` for a square complex128
     array, taken in row blocks of at most _HERMITICITY_BLOCK_BYTES: both
     maxima are exact, so the value does not depend on the block size."""
-    rows = max(1, _HERMITICITY_BLOCK_BYTES // (16 * m.shape[1]))
+    rows = max(1, _HERMITICITY_BLOCK_BYTES // (16 * max(1, m.shape[1])))
     scale = distance = 0.0
     for start in range(0, m.shape[0], rows):
         block = m[start : start + rows]
@@ -96,10 +96,10 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """Ascending spectrum of a square complex128 array that is Hermitian by
     test or by construction: the eigenvalues of its Hermitian part.  An
     exactly diagonal array, such as a maximally mixed reference or a zero
-    matrix, gives its sorted real diagonal, with no O(d^3) eigensolver call."""
-    diagonal = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(diagonal):
-        return np.sort(diagonal.real)
+    matrix, gives its sorted real diagonal, with no O(d^3) eigensolver call.
+    A nonzero corner m[0, -1] rules that out without counting the entries."""
+    if m.shape[0] < 2 or (m[0, -1] == 0 and np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))):
+        return np.sort(np.diagonal(m).real)
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
