@@ -351,6 +351,16 @@ def _grouping_and_haar_with_ginibre_references():
     )
 
 
+def _haar_and_grouping():
+    # B's index map gathers A's rows for the transition matrix
+    return (
+        haar_structure(16, 2, 177),
+        TypeIProjection(stream(178).ginibre_density(8, 8)),
+        structure_from_grouping(FOUR_QUBITS, (1, 3)),
+        TypeIProjection(stream(179).ginibre_density(4, 4)),
+    )
+
+
 def _two_haar_with_type_iii():
     # pinching in a Haar basis of E, so that no projector is real or diagonal
     u = stream(173).haar_unitary(4)
@@ -374,8 +384,8 @@ def assert_points_close(got, want, tol):
 class TestTrajectoryMatchesPublicRoute:
     """Both trajectory kernels agree with the public functions to the
     goldens' 1e-12: the grouping-pair closed forms (nested groupings) and
-    the A-basis lemma kernels (a type_iii spec, a Haar structure, Ginibre
-    references on both sides, two Haar structures)."""
+    the A-basis lemma kernels (a type_iii spec, a Haar structure on either
+    side, Ginibre references on both sides, two Haar structures)."""
 
     @pytest.mark.parametrize(
         "setup",
@@ -384,6 +394,7 @@ class TestTrajectoryMatchesPublicRoute:
             _non_nested_with_type_iii,
             _grouping_and_haar,
             _grouping_and_haar_with_ginibre_references,
+            _haar_and_grouping,
             _two_haar_with_type_iii,
         ],
     )

@@ -1,7 +1,9 @@
 """Guards on the repository's own sources."""
 
 import ast
+import copy
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,74 @@ def test_report_deviations_passes_values_as_the_gate_does():
     assert compare(["pure"], ["pure"], None)[2] and not compare(["pure"], ["mixed"], None)[2]
     assert compare([float("nan")], [float("nan")], (1e-9, 1e-12))[2]
     assert not compare([1.0], [float("nan")], (1e-9, 1e-12))[2]
+
+
+# A synthetic lemma1-sweep report: what the CLI writes, cut down.
+SUMMARY = {
+    "scenario": "lemma1-sweep",
+    "generator": "pcg64+splitmix64+box-muller:v1",
+    "config": {"scenario": "lemma1-sweep", "trials": 2, "output_dir": "out"},
+    "results": {"trials": 2, "state_policy": "alternating", "defect_a_to_b_mean": 0.5},
+}
+SERIES = [["trial", "defect_a_to_b"], [0, 0.25], [1, 0.75]]
+CLI = [0, '{"scenario": "lemma1-sweep"}\n', 0]
+TOLERANCES = {"defect_a_to_b": (1e-9, 1e-12), "defect_a_to_b_mean": (1e-9, 1e-12)}
+
+
+def report(directory: Path, summary: dict, series: list) -> Path:
+    """``directory`` holding ``summary`` and ``series`` as the CLI writes them."""
+    directory.mkdir()
+    (directory / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    (directory / "series.csv").write_text("".join(",".join(map(str, row)) + "\n" for row in series), encoding="utf-8")
+    return directory
+
+
+def verdict_against_the_parent(tmp_path, cli=CLI, summary=SUMMARY, series=SERIES):
+    """report_deviations' lines for one config: the synthetic report as the
+    parent, the given CLI results and report as the change."""
+    parent = (CLI, report(tmp_path / "parent", SUMMARY, SERIES))
+    change = (cli, report(tmp_path / "change", summary, series))
+    return load_tool("report_deviations").verdict(parent, change, TOLERANCES)
+
+
+def test_byte_equal_reports_are_identical(tmp_path):
+    assert verdict_against_the_parent(tmp_path, cli=list(CLI)) == [("identical", False)]
+
+
+def test_reports_differing_only_in_output_dir_are_identical(tmp_path):
+    summary = copy.deepcopy(SUMMARY)
+    summary["config"]["output_dir"] = str(tmp_path / "elsewhere")
+    assert verdict_against_the_parent(tmp_path, summary=summary) == [("identical", False)]
+
+
+def test_a_series_value_moved_within_its_tolerance_passes(tmp_path):
+    lines = verdict_against_the_parent(tmp_path, series=[*SERIES[:2], [1, 0.75 * (1 + 1e-12)]])
+    deviations = {text.split()[0]: (text.split()[1:3], exceeds) for text, exceeds in lines}
+    results = {"results.trials", "results.state_policy", "results.defect_a_to_b_mean"}
+    assert set(deviations) == results | {"trial", "defect_a_to_b"}
+    (dev_abs, dev_rel), exceeds = deviations["defect_a_to_b"]
+    assert float(dev_abs) == pytest.approx(7.5e-13, rel=1e-2) and float(dev_rel) == pytest.approx(1e-12, rel=1e-2)
+    # no line exceeds, so the tool exits 0
+    assert not any(exceeds for _, exceeds in lines)
+
+
+def _config_echo():
+    summary = copy.deepcopy(SUMMARY)
+    summary["config"]["trials"] = 3
+    return {"summary": summary}
+
+
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        (lambda: {"cli": [0, CLI[1] + " ", 0]}, "validate echo differs"),
+        (lambda: {"cli": [0, CLI[1], 1]}, "run exit code differs"),
+        (_config_echo, "summary.config differs"),
+        (lambda: {"summary": {**SUMMARY, "generator": "pcg64+splitmix64+box-muller:v2"}}, "summary.generator differs"),
+    ],
+    ids=["validate-echo", "exit-code", "config-echo", "generator"],
+)
+def test_an_exact_field_that_differs_exceeds(tmp_path, change, line):
+    lines = verdict_against_the_parent(tmp_path, **change())
+    # every value is equal, so only the exact field exceeds
+    assert [text for text, exceeds in lines if exceeds] == [line]
