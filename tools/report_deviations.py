@@ -138,8 +138,9 @@ def verdict(parent: tuple[list, Path], change: tuple[list, Path], tolerances: di
     names = ("validate exit code", "validate echo", "run exit code")
     lines = [(f"{name} differs", True) for name, p, c in zip(names, cli_p, cli_c) if p != c]
     (fields_p, before), (fields_c, after) = _columns(*report_p), _columns(*report_c)
-    keys = sorted(fields_p.keys() | fields_c.keys())
-    lines += [(f"summary.{k} differs", True) for k in keys if k not in fields_p or k not in fields_c or fields_p[k] != fields_c[k]]
+    for key in sorted(fields_p.keys() | fields_c.keys()):
+        if key not in fields_p or key not in fields_c or fields_p[key] != fields_c[key]:
+            lines.append((f"summary.{key} differs", True))
     if before.keys() != after.keys():
         return lines + [(f"columns differ: {sorted(before.keys() ^ after.keys())}", True)]
     for column, values in before.items():
