@@ -252,8 +252,6 @@ def transition_matrix(s_from: Structure, s_to: Structure) -> np.ndarray:
         t = np.zeros((s_to.total_dim, s_to.total_dim), dtype=np.complex128)
         t[np.argsort(s_to.basis)[s_from.basis], np.arange(s_from.total_dim)] = 1.0
         return t
-    if s_from.grouping is not None:
-        return np.ascontiguousarray(s_to.basis[s_from.basis].conj().T)
     return vector_to_structure_basis(s_from.w, s_to)
 
 

@@ -352,7 +352,7 @@ def _grouping_and_haar_with_ginibre_references():
 
 
 def _haar_and_grouping():
-    # B's index map gathers A's rows for the transition matrix
+    # the transition matrix runs from a grouping into a Haar basis
     return (
         haar_structure(16, 2, 177),
         TypeIProjection(stream(178).ginibre_density(8, 8)),

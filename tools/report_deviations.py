@@ -4,12 +4,14 @@ Usage::
 
     python tools/report_deviations.py PARENT CHANGE
 
-``PARENT`` and ``CHANGE`` are roots of tpslab checkouts.  The configs are
-the golden configs under ``CHANGE``'s ``tests/golden/`` and every variant of
-every workload that ``CHANGE``'s ``perfbench/workloads.write_inputs``
-writes, into a temporary directory.  Each checkout's CLI runs in its own
-interpreter with its ``src/`` first on the path (nothing is installed); it
-validates, then runs, each config.
+``PARENT`` and ``CHANGE`` are roots of tpslab checkouts.  ``PARENT`` is
+the reference: the configs are the golden configs under ``PARENT``'s
+``tests/golden/`` and every variant of every workload that ``PARENT``'s
+``perfbench/workloads.write_inputs`` writes, into a temporary directory,
+and the tolerances are ``PARENT``'s, so a change cannot pick the configs or
+widen the tolerances it is checked against.  Each checkout's CLI runs in
+its own interpreter with its ``src/`` first on the path (nothing is
+installed); it validates, then runs, each config.
 
 A config reads ``identical`` when both exit codes, the ``validate`` echo,
 ``summary.json`` with its ``output_dir`` values masked and ``series.csv``
@@ -18,12 +20,14 @@ exit code, the ``validate`` echo, a ``summary.json`` key outside
 ``results`` (the config echo, ``generator``, ...) or the report's shape.
 Then one line per ``results`` key and ``series.csv`` column gives the
 largest absolute deviation of ``CHANGE`` from ``PARENT``, the largest
-relative one, and the column's tolerance ``(rel, abs)`` from
-``perfbench/gate.py``'s ``COLUMN_TOLERANCE``; a column that table does not
-list must match exactly.  A value passes when ``|change - parent| <=
-max(abs, rel * |parent|)``, as the benchmark's gate decides.  The exit code
-is 1 when an exact field differs or a value exceeds its tolerance, else 0;
-it is 2 for a wrong command line.
+relative one, and the column's tolerance ``(rel, abs)`` from the
+``COLUMN_TOLERANCE`` of ``PARENT``'s ``perfbench/gate.py``; a column that
+table does not list must match exactly.  A value passes when ``|change -
+parent| <= max(abs, rel * |parent|)``, as the benchmark's gate decides.
+The exit code is 1 when an exact field differs or a value exceeds its
+tolerance, else 0; it is 2 for a wrong command line.  Configs that
+``CHANGE`` adds are not run here; ``tests/test_golden.py`` checks its
+goldens.
 """
 
 from __future__ import annotations
@@ -159,13 +163,13 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/report_deviations.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in argv)
-    sys.path.insert(0, str(change / "perfbench"))
+    sys.path.insert(0, str(parent / "perfbench"))
     from gate import COLUMN_TOLERANCE
 
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        configs = report_configs(change, tmp / "inputs")
+        configs = report_configs(parent, tmp / "inputs")
         runs = {side: _run(root, configs, tmp / side) for side, root in (("parent", parent), ("change", change))}
         print(f"{'config':<28} {'column':<36} {'max_abs':>10} {'max_rel':>10}  tolerance (rel, abs)")
         for i, (label, _) in enumerate(configs):
