@@ -7,7 +7,6 @@ from .linalg import (
     check_density_matrix,
     check_pure_state,
     eigh,
-    kron,
     maximally_mixed,
     partial_trace,
     purity,
@@ -18,9 +17,7 @@ from .linalg import (
 from .structures import (
     FactorLayout,
     Structure,
-    d_coefficient,
     from_structure_basis,
-    identity_structure,
     read_matrix_file,
     read_structure_file,
     reduced_state,
@@ -31,22 +28,16 @@ from .structures import (
     write_matrix_file,
 )
 from .projections import (
-    TypeIIIProjection,
-    TypeIIProjection,
     TypeIProjection,
     complement,
-    computational_type_iii,
-    idempotency_defect,
     project,
     relevance_defect,
 )
 from .relativity import (
     DefectReport,
-    SeparableEnsemble,
     bell_pair,
     commutator_defect,
     cross_relevance_matrix,
-    defect_matrix_mixed_coeffs,
     defect_matrix_pure_coeffs,
     mutual_information,
     teleport_state,

@@ -48,7 +48,7 @@ from .linalg import (
     check_ensemble,
     purity,
 )
-from .projections import ProjectionSpec, TypeIProjection, check_compatible
+from .projections import TypeIProjection, check_compatible
 from .relativity import (
     DefectReport,
     _checked_report,
@@ -229,9 +229,9 @@ def trajectory(
     h: Hamiltonian,
     grid: TimeGrid,
     s_a: Structure,
-    spec_a: ProjectionSpec,
+    spec_a: TypeIProjection,
     s_b: Structure,
-    spec_b: ProjectionSpec,
+    spec_b: TypeIProjection,
 ) -> tuple[TrajectoryPoint, ...]:
     """Evolve once and evaluate every cross-split functional on the same
     state at each grid time; one point per grid time, in time order.

@@ -55,18 +55,14 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m) -> float:
-    """Max-entry distance to the adjoint, relative to the largest entry."""
-    return _hermiticity_defect(require_square(m))
-
-
 _HERMITICITY_BLOCK_BYTES = 1 << 17  # bounds the temporaries of a Hamiltonian's check
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
-    """Trusted kernel of :func:`hermiticity_defect` for a square complex128
-    array, taken in row blocks of at most _HERMITICITY_BLOCK_BYTES: both
-    maxima are exact, so the value does not depend on the block size."""
+    """Max-entry distance to the adjoint, relative to the largest entry, of
+    a square complex128 array; trusted.  Taken in row blocks of at most
+    _HERMITICITY_BLOCK_BYTES: both maxima are exact, so the value does not
+    depend on the block size."""
     rows = max(1, _HERMITICITY_BLOCK_BYTES // (16 * max(1, m.shape[1])))
     scale = distance = 0.0
     for start in range(0, m.shape[0], rows):
@@ -163,14 +159,10 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128) / dim
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; composite row index is ``i_a * rows_b + i_b``."""
-    return _kron(as_matrix(a, "kron operand a"), as_matrix(b, "kron operand b"))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Trusted kernel of :func:`kron` for 2-D arrays: each entry is the one
-    product ``np.kron`` forms, without its general-rank set-up."""
+    """Kronecker product of 2-D arrays, composite row index ``i_a * rows_b +
+    i_b``; trusted.  Each entry is the one product ``np.kron`` forms,
+    without its general-rank set-up."""
     (ra, ca), (rb, cb) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 

@@ -4,9 +4,10 @@ A projection adapted to one system-environment split satisfies its own
 relevance identity exactly; evaluated against a different split of the same
 space it generically does not.  This module quantifies that failure through
 two independent routes (direct partial traces, and explicit expansion
-coefficients), measures the non-commutation of projections adapted to
-different splits, and demonstrates the structure dependence of correlations
-via mutual information.
+coefficients of a pure state; the tests hold the sums for a separable
+mixture), measures the non-commutation of projections adapted to different
+splits, and demonstrates the structure dependence of correlations via
+mutual information.
 
 The public functions take d x d states in reference coordinates; they are
 the dense route, and the tests' oracle.  The lemma sweeps and
@@ -33,18 +34,16 @@ from .linalg import (
     check_density_matrix,
     check_pure_state,
     eigh,
-    kron,
     schmidt,
     trace_norm,
 )
-from .projections import ProjectionSpec, TypeIProjection, _complement, _projection_terms, apply_projection, check_compatible
+from .projections import TypeIProjection, _complement, apply_projection, check_compatible
 from .structures import (
     Structure,
     _check_total_dim,
     _kron_rows,
     _reduce,
     _traced_rows,
-    from_structure_basis,
     to_structure_basis,
     transition_matrix,
     vector_to_structure_basis,
@@ -80,7 +79,7 @@ def _checked_report(d: np.ndarray, context: str) -> DefectReport:
 
 
 def cross_relevance_matrix(
-    rho, s_from: Structure, spec: ProjectionSpec, s_to: Structure
+    rho, s_from: Structure, spec: TypeIProjection, s_to: Structure
 ) -> DefectReport:
     """Reduce the complement taken in one split over another split's
     environment.
@@ -161,139 +160,12 @@ def defect_matrix_pure_coeffs(
     return _checked_report(amat, "defect_matrix_pure_coeffs").defect_matrix
 
 
-class SeparableEnsemble:
-    """Convex mixture of product states on a bipartite split.
-
-    ``weights[i]`` multiplies ``system_factors[i] (x) environment_factors[i]``;
-    all factors are given in the split's own product coordinates.  Spectral
-    data of every factor is precomputed at construction and verified to
-    reconstruct its matrix.
-    """
-
-    def __init__(self, weights, system_factors, environment_factors):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("ensemble weights must be a nonempty 1-D array")
-        if len(system_factors) != weights.size or len(environment_factors) != weights.size:
-            raise ValueError("ensemble weights and factor lists must have equal length")
-        if np.any(weights <= 0):
-            raise ValueError("ensemble weights must be positive")
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"ensemble weights sum to {total:.15g}, expected 1 within 1e-12")
-        sys_f = tuple(
-            check_density_matrix(m, name=f"ensemble system factor {i}")
-            for i, m in enumerate(system_factors)
-        )
-        env_f = tuple(
-            check_density_matrix(m, name=f"ensemble environment factor {i}")
-            for i, m in enumerate(environment_factors)
-        )
-        dim_s = sys_f[0].shape[0]
-        dim_e = env_f[0].shape[0]
-        if any(m.shape[0] != dim_s for m in sys_f) or any(m.shape[0] != dim_e for m in env_f):
-            raise ValueError("ensemble factors have inconsistent dimensions")
-        self.weights = weights
-        self.weights.setflags(write=False)
-        self.system_factors = sys_f
-        self.environment_factors = env_f
-        self.s_spectra = tuple(self._spectral_cache(m, "system") for m in sys_f)
-        self.e_spectra = tuple(self._spectral_cache(m, "environment") for m in env_f)
-
-    @staticmethod
-    def _spectral_cache(m: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
-        w, v = eigh(m, name=f"ensemble {which} factor")
-        recon = (v * w) @ v.conj().T
-        defect = float(np.abs(recon - m).max())
-        if defect > 1e-10:
-            raise InvariantViolation(
-                f"ensemble {which} factor spectral cache does not reconstruct"
-                f" (defect {defect:.3e})"
-            )
-        return w, v
-
-    @property
-    def dim_s(self) -> int:
-        return self.system_factors[0].shape[0]
-
-    @property
-    def dim_e(self) -> int:
-        return self.environment_factors[0].shape[0]
-
-    def reduced_system(self) -> np.ndarray:
-        """Environment-traced mixture, in split coordinates."""
-        out = np.zeros((self.dim_s, self.dim_s), dtype=np.complex128)
-        for lam, rho_s in zip(self.weights, self.system_factors):
-            out += lam * rho_s
-        return out
-
-    def assemble_in_split(self) -> np.ndarray:
-        """Total density matrix in the split's product coordinates."""
-        dim = self.dim_s * self.dim_e
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for lam, rho_s, rho_e in zip(self.weights, self.system_factors, self.environment_factors):
-            out += lam * kron(rho_s, rho_e)
-        return out
-
-    def assemble(self, s: Structure) -> np.ndarray:
-        """Total density matrix in reference coordinates for the given split."""
-        if s.dim_s != self.dim_s or s.dim_e != self.dim_e:
-            raise ValueError(
-                f"ensemble split {self.dim_s} x {self.dim_e} does not match structure"
-                f" {s.dim_s} x {s.dim_e}"
-            )
-        return check_density_matrix(from_structure_basis(self.assemble_in_split(), s))
-
-
-def defect_matrix_mixed_coeffs(
-    ens: SeparableEnsemble, s_from: Structure, rho_ref, s_to: Structure
-) -> np.ndarray:
-    """Cross-split defect matrix of a separable mixture under a type_i
-    projection, assembled from expansion coefficients.
-
-    First quadratic sum runs over the per-term spectral data of the mixture;
-    the second over the eigendata of the traced mixture and of the reference
-    state.  Agrees entry-wise with :func:`cross_relevance_matrix` on the
-    assembled state.
-    """
-    rho_ref = check_density_matrix(rho_ref, name="rho_ref")
-    if s_from.dim_s != ens.dim_s or s_from.dim_e != ens.dim_e:
-        raise ValueError("defect_matrix_mixed_coeffs: ensemble does not match s_from split")
-    if s_from.total_dim != s_to.total_dim:
-        raise ValueError("defect_matrix_mixed_coeffs: structure dimensions differ")
-    if rho_ref.shape[0] != s_from.dim_e:
-        raise ValueError(
-            f"defect_matrix_mixed_coeffs: rho_ref dim {rho_ref.shape[0]} does not match"
-            f" environment dim {s_from.dim_e}"
-        )
-    ds_to, de_to = s_to.dim_s, s_to.dim_e
-    t = transition_matrix(s_from, s_to)
-
-    first = np.zeros((ds_to, ds_to), dtype=np.complex128)
-    for lam, (p_s, chi), (p_e, phi) in zip(ens.weights, ens.s_spectra, ens.e_spectra):
-        for m_i in range(p_s.size):
-            for n_i in range(p_e.size):
-                c = (t @ np.kron(chi[:, m_i], phi[:, n_i])).reshape(ds_to, de_to)
-                first += lam * p_s[m_i] * p_e[n_i] * (c @ c.conj().T)
-
-    kappa, varphi = eigh(ens.reduced_system(), name="traced ensemble")
-    omega, psis = eigh(rho_ref, name="rho_ref")
-    second = np.zeros((ds_to, ds_to), dtype=np.complex128)
-    for p_i in range(kappa.size):
-        for q_i in range(omega.size):
-            d = (t @ np.kron(varphi[:, p_i], psis[:, q_i])).reshape(ds_to, de_to)
-            second += kappa[p_i] * omega[q_i] * (d @ d.conj().T)
-
-    lam_matrix = first - second
-    return _checked_report(lam_matrix, "defect_matrix_mixed_coeffs").defect_matrix
-
-
 def commutator_defect(
     rho,
     s_a: Structure,
-    spec_a: ProjectionSpec,
+    spec_a: TypeIProjection,
     s_b: Structure,
-    spec_b: ProjectionSpec,
+    spec_b: TypeIProjection,
 ) -> float:
     """Trace norm of the commutator of two split-adapted type_i projections
     applied to a state.  Symmetric in the two splits; zero when structures
@@ -343,16 +215,16 @@ def _lemma2_in_basis(v, tau_a, tau_b, spec_a: TypeIProjection, s_b: Structure, s
     return trace_norm(comm, hermitian=True)
 
 
-def _cross_reduction(w, y, red, s: Structure, spec: ProjectionSpec, s_to: Structure) -> np.ndarray:
+def _cross_reduction(w, y, red, s: Structure, spec: TypeIProjection, s_to: Structure) -> np.ndarray:
     """Tr_E'(w^H (P rho) w) for rho = y y^H in ``s``'s product basis, with
     ``red`` = Tr_E rho, where the columns of ``w`` are ``s_to``'s product
     basis in ``s``'s coordinates.  P rho is a short sum of Kronecker products
-    sigma_k (x) R_k (:func:`projections._projection_terms`), so each term
+    sigma_k (x) R_k (the spec's ``terms()``), so each term
     acts on w's rows, sigma_k on the S index and R_k on the E index, and the
     E' trace of w^H times their sum is one product
     (:func:`structures._traced_rows`)."""
     x = None
-    for a, b, ref in _projection_terms(spec):
+    for a, b, ref in spec.terms():
         sigma = red if b is None else _vector_reduction(y, s, b)
         term = _kron_rows(sigma if a is None else a @ sigma, ref, w, s)
         x = term if x is None else x + term

@@ -37,8 +37,8 @@ the two factors, not their product, and takes S(rho) = S(rho_s) +
 S(rho_e), with the entropy floor applied per factor.  So a sweep trial
 takes at most one d x d eigensolve, that of Lemma 2's commutator.  The
 public functions (``cross_relevance_matrix``, ``commutator_defect``,
-``idempotency_defect``, ``mutual_information``) give the same rows to
-roundoff and serve as the tests' oracle.
+``mutual_information``) and the tests' ``idempotency_defect`` give the same
+rows to roundoff and serve as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -143,10 +143,16 @@ def dump_json(obj) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``; a failed write or rename removes the temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_report(output_dir: Path, summary: dict, header: list[str], rows: list[list]) -> ReportPaths:

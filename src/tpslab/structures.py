@@ -121,12 +121,6 @@ class Structure:
         return w
 
 
-def identity_structure(dim_s: int, dim_e: int) -> Structure:
-    """The reference split itself: the grouping ``(0,)`` of the layout
-    ``(dim_s, dim_e)``, so both dims must be at least 2."""
-    return Structure(dim_s, dim_e, grouping=((dim_s, dim_e), (0,)))
-
-
 def structure_from_grouping(layout: FactorLayout, s_indices) -> Structure:
     """Permutation structure grouping the selected factors as the system.
 
@@ -253,27 +247,6 @@ def transition_matrix(s_from: Structure, s_to: Structure) -> np.ndarray:
         t[np.argsort(s_to.basis)[s_from.basis], np.arange(s_from.total_dim)] = 1.0
         return t
     return vector_to_structure_basis(s_from.w, s_to)
-
-
-def d_coefficient(s: Structure, i: int, alpha: int, m: int, n: int) -> complex:
-    """Expansion coefficient of the reference product vector ``|i, alpha>``
-    in the structure's product basis vector ``|m, n>``.
-
-    The reference register is split with the structure's own factor
-    dimensions.  Summing the coefficient against its conjugate over (m, n)
-    reproduces Kronecker deltas in (i, alpha): that is unitarity of ``w``.
-    """
-    for value, bound, name in (
-        (i, s.dim_s, "i"),
-        (alpha, s.dim_e, "alpha"),
-        (m, s.dim_s, "m"),
-        (n, s.dim_e, "n"),
-    ):
-        if not 0 <= value < bound:
-            raise ValueError(f"d_coefficient: index {name}={value} out of range [0, {bound})")
-    row, col = i * s.dim_e + alpha, m * s.dim_e + n
-    entry = complex(s.basis[col] == row) if s.grouping is not None else s.basis[row, col]
-    return complex(np.conj(entry))
 
 
 def write_matrix_file(path, m, split_dim: int = 0) -> None:

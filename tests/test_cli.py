@@ -82,6 +82,18 @@ def test_unwritable_output_dir_is_an_io_error(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "io"
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    # the series is written, then the summary's rename onto a directory fails
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["run", sweep_config(tmp_path, [2, 2]), "--output-dir", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "io"
+    assert (out / "series.csv").is_file()
+    assert list(out.glob("*.tmp*")) == []
+
+
 def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     # 10**15 + 1 grid times in float64 need 7.1 PiB, more than any process
     # address space holds, so the allocation is refused at once.  The config

@@ -18,15 +18,11 @@ from tpslab import (
     RandomStream,
     TimeGrid,
     TrajectoryPoint,
-    TypeIIIProjection,
     TypeIProjection,
     commutator_defect,
-    computational_type_iii,
     cross_relevance_matrix,
     dynamics,
     from_structure_basis,
-    identity_structure,
-    kron,
     load_config,
     mix_seed,
     mutual_information,
@@ -40,6 +36,7 @@ from tpslab import (
 from tpslab.config import MAX_TOTAL_DIM
 from tpslab.linalg import ENTROPY_EIGVAL_FLOOR, UNITARITY_TOL, _orthonormality_defect
 from tpslab.structures import vector_to_structure_basis
+from oracles import TypeIIIProjection, computational_type_iii, identity_structure, kron
 from conftest import force_route, haar_structure, max_mixed_spec, propagator, spy_routes, stream, teleport_setup
 
 
@@ -473,6 +470,22 @@ def structures_2322(draw, kind: str):
     return s
 
 
+BASIS_PAIR_KINDS = [k for k in itertools.product(STRUCTURE_KINDS, repeat=2) if k != ("grouping",) * 2]
+
+
+def fixed_structure_2322(kind: str, side: int):
+    """Structure A (``side`` 0) or B (1) of a fixed pair of the given kind on
+    [2, 3, 2, 2]: the groupings (0, 2) and (1, 3), Haar structures with
+    dim_s 6 and 4, or permutation unitaries with dim_s 6 and 4, each drawn
+    from its own seed."""
+    if kind == "grouping":
+        return structure_from_grouping(LAYOUT_2322, ((0, 2), (1, 3))[side])
+    dim_s = (6, 4)[side]
+    if kind == "haar":
+        return haar_structure(24, dim_s, 190 + side)
+    return structure_from_unitary(np.eye(24)[:, np.random.default_rng(192 + side).permutation(24)], dim_s, 24 // dim_s)
+
+
 class TestBasisPairRoute:
     """The A-basis kernel route, which serves every pair other than two
     groupings with type_i specs, against the public route."""
@@ -488,6 +501,12 @@ class TestBasisPairRoute:
         s_a, s_b = (data.draw(structures_2322(kind)) for kind in kinds)
         state = stream(seed, 2).ginibre_ensemble(24, rank)
         self.check(state, s_a, s_b, seed)
+
+    @pytest.mark.parametrize("kinds", BASIS_PAIR_KINDS, ids="-".join)
+    def test_fixed_pair_matches_public_route(self, kinds):
+        # every kind pair on every run, whatever the draws above reach
+        s_a, s_b = (fixed_structure_2322(kind, side) for side, kind in enumerate(kinds))
+        self.check(stream(194, 2).ginibre_ensemble(24, 2), s_a, s_b, 194)
 
     def test_maximally_mixed_state(self):
         state = (np.full(24, 1 / 24), np.eye(24, dtype=np.complex128))

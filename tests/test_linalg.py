@@ -11,7 +11,6 @@ from tpslab import (
     relativity,
     check_density_matrix,
     eigh,
-    kron,
     maximally_mixed,
     partial_trace,
     purity,
@@ -19,7 +18,8 @@ from tpslab import (
     trace_norm,
     von_neumann_entropy,
 )
-from tpslab.linalg import _checked_spectrum, hermiticity_defect
+from tpslab.linalg import _checked_spectrum
+from oracles import hermiticity_defect, kron
 from conftest import bell_density, propagator, stream
 
 

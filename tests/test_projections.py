@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 
 from tpslab import (
-    TypeIIIProjection,
-    TypeIIProjection,
     TypeIProjection,
     bell_pair,
     complement,
-    computational_type_iii,
-    idempotency_defect,
-    identity_structure,
-    kron,
     maximally_mixed,
     project,
     relevance_defect,
     schmidt,
     trace_norm,
 )
+from oracles import TypeIIIProjection, TypeIIProjection, computational_type_iii, idempotency_defect, identity_structure, kron
 from conftest import bell_density, haar_structure, stream, teleport_setup
 
 

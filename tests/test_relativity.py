@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from tpslab import (
     FactorLayout,
-    SeparableEnsemble,
     TypeIProjection,
     bell_pair,
     commutator_defect,
     cross_relevance_matrix,
-    defect_matrix_mixed_coeffs,
     defect_matrix_pure_coeffs,
     from_structure_basis,
-    identity_structure,
-    kron,
     maximally_mixed,
     mutual_information,
     reduced_state,
@@ -24,6 +20,7 @@ from tpslab import (
     structure_from_grouping,
     teleport_state,
 )
+from oracles import SeparableEnsemble, defect_matrix_mixed_coeffs, identity_structure, kron
 from conftest import bell_density, haar_structure, max_mixed_spec, stream, teleport_setup
 
 
@@ -197,7 +194,7 @@ class TestCommutatorDefect:
         assert abs(d_ab - d_ba) <= 1e-12
 
     def test_rejects_other_families(self):
-        from tpslab import computational_type_iii
+        from oracles import computational_type_iii
 
         s = identity_structure(2, 2)
         rho = stream(120).ginibre_density(4, 4)

@@ -20,8 +20,6 @@ from tpslab import (
     commutator_defect,
     cross_relevance_matrix,
     from_structure_basis,
-    idempotency_defect,
-    kron,
     load_config,
     mix_seed,
     mutual_information,
@@ -32,6 +30,7 @@ from tpslab import (
     write_matrix_file,
 )
 from tpslab.cli import main
+from oracles import idempotency_defect, kron
 
 MAP_TRIALS = scenarios._map_trials
 BLAS = scenarios._openblas_thread_api()

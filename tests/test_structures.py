@@ -8,10 +8,7 @@ import pytest
 from tpslab import (
     FactorLayout,
     Structure,
-    d_coefficient,
     from_structure_basis,
-    identity_structure,
-    kron,
     maximally_mixed,
     read_matrix_file,
     read_structure_file,
@@ -24,6 +21,7 @@ from tpslab import (
     write_matrix_file,
 )
 from tpslab.structures import vector_to_structure_basis
+from oracles import d_coefficient, identity_structure, kron
 from conftest import bell_density, haar_structure, stream, teleport_setup
 
 THREE_QUBITS = FactorLayout((2, 2, 2))

@@ -2,8 +2,10 @@
 
 import ast
 import copy
+import functools
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,51 @@ def test_only_structures_reads_the_stored_basis():
         for path in modules
         if path.name != "structures.py"
         for line in basis_reads(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert offenders == []
+
+
+def test_src_does_not_import_the_tests():
+    # tier-1 puts tests/ on sys.path, so such an import passes there and
+    # fails in the installed console script
+    test_modules = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    assert "oracles" in test_modules
+    offenders = [
+        f"{path.relative_to(ROOT)}: import {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in imported_modules(path.read_text(encoding="utf-8"), str(path))
+        if name.split(".")[0] in test_modules
+    ]
+    assert offenders == []
+
+
+def top_level_names(source: str, filename: str = "<source>") -> set[str]:
+    """The names that ``source`` defines at module level: its functions,
+    classes and assignment targets, not the names it imports."""
+    names = set()
+    for node in ast.parse(source, filename=filename).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_top_level_names_are_found():
+    source = "import a\nfrom b import c\nX = Y = 1\nZ: int = 2\nu, v = 3, 4\ndef f():\n    w = 5\nclass C:\n    k = 6\n"
+    assert top_level_names(source) == {"X", "Y", "Z", "u", "v", "f", "C"}
+
+
+def test_no_oracle_is_also_defined_in_src():
+    # each of the paper's constructions has one home: src/ for what the CLI
+    # runs, tests/oracles.py for the rest
+    oracles = top_level_names((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    assert {"TypeIIProjection", "TypeIIIProjection"} <= oracles
+    offenders = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src" / "tpslab").glob("*.py"))
+        for name in sorted(top_level_names(path.read_text(encoding="utf-8"), str(path)) & oracles)
     ]
     assert offenders == []
 
@@ -161,3 +208,90 @@ def test_an_exact_field_that_differs_exceeds(tmp_path, change, line):
     lines = verdict_against_the_parent(tmp_path, **change())
     # every value is equal, so only the exact field exceeds
     assert [text for text, exceeds in lines if exceeds] == [line]
+
+
+# Functions under src/tpslab that no run of a valid config calls, each with
+# the reason it stays.
+NOT_RUN_BY_THE_CLI = {
+    "cli._fail": "error path: the JSON error line of a rejected command line, config or run",
+    "cli._Parser.error": "error path: a rejected command line",
+    "config._reject_non_finite": "error path: a NaN or Infinity in a config",
+    "cli.entry": "the installed console script's entry point, which calls main",
+    "scenarios._init_worker": "runs in forked sweep workers; the guard runs the trials in-process",
+    "scenarios._run_chunk": "runs in forked sweep workers; the guard runs the trials in-process",
+    "structures.write_matrix_file": "writes the matrix files that configs read",
+    "linalg.eigh": "perfbench/layers.py traces it",
+    "linalg.von_neumann_entropy": "perfbench/layers.py traces it",
+    "relativity.cross_relevance_matrix": "perfbench/layers.py traces it",
+    "relativity.mutual_information": "perfbench/layers.py traces it",
+    "relativity.defect_matrix_pure_coeffs": "perfbench/gate.py's correctness pass imports it",
+    "linalg.schmidt": "defect_matrix_pure_coeffs takes its Schmidt data",
+    "linalg.SchmidtDecomposition.rank": "defect_matrix_pure_coeffs takes its Schmidt rank",
+}
+SWEEPS = ("lemma1-sweep", "lemma2-sweep", "qcr-demo")
+
+
+def defined_functions(package: Path) -> dict[tuple[str, int], str]:
+    """``(file, first line) -> "module.qualname"`` of every function and
+    method defined in ``package``'s modules.  The first line is that of the
+    first decorator, if any, as in the function's ``co_firstlineno``."""
+    found = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, f"{prefix}{child.name}.")
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path, "")
+    return found
+
+
+def test_decorated_functions_start_at_their_first_decorator(tmp_path):
+    (tmp_path / "m.py").write_text("class C:\n    @property\n    @staticmethod\n    def f():\n        pass\n", encoding="utf-8")
+    assert defined_functions(tmp_path) == {(str(tmp_path / "m.py"), 2): "m.C.f"}
+
+
+def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch):
+    # validate, then run, the golden configs and variant 0 of each benchmark
+    # workload, with the sweep trials in this process, and record every
+    # Python function entered
+    import tpslab
+    from tpslab import scenarios
+    from tpslab.cli import main
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    configs = sorted((ROOT / "tests" / "golden").glob("*/config.json"))
+    for name in workloads.WORKLOADS:
+        configs += workloads.write_inputs(name, 0, tmp_path / "inputs" / name).values()
+    monkeypatch.setattr(scenarios, "_map_trials", functools.partial(scenarios._map_trials, workers=1))
+    # an earlier test may have filled the cache, and a cached call enters no
+    # Python function
+    scenarios._openblas_thread_api.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i, config in enumerate(configs):
+            trials = ["--trials", "4"] if json.loads(config.read_text(encoding="utf-8"))["scenario"] in SWEEPS else []
+            assert main(["validate", str(config)]) == 0, config
+            assert main(["run", str(config), "--output-dir", str(tmp_path / str(i)), *trials]) == 0, config
+    finally:
+        sys.setprofile(previous)
+
+    package = Path(tpslab.__file__).resolve().parent
+    defined = defined_functions(package)
+    called = {defined.get((str(Path(file).resolve()), line)) for file, line in entered} - {None}
+    assert sorted(set(defined.values()) - called - NOT_RUN_BY_THE_CLI.keys()) == []
+    # an entry whose function is gone, or now runs, goes too
+    assert sorted(NOT_RUN_BY_THE_CLI.keys() - (set(defined.values()) - called)) == []
