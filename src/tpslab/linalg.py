@@ -206,22 +206,14 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * w * float(t))
 
 
-def trace_norm(m, hermitian: bool = False) -> float:
-    """Sum of singular values.
-
-    Hermitian inputs (relative defect <= 1e-8) use the moduli of
-    :func:`_hermitian_spectrum`, the spectrum rule of the state checks; the
-    general case uses the square root of the spectrum of ``m^H m``.
-    ``hermitian=True`` takes the Hermitian route without the test: for
-    callers whose input is Hermitian by construction, so that a
-    roundoff-sized residual, whose relative defect is large, does not pay
-    for the general route.
+def trace_norm(m) -> float:
+    """Sum of singular values of a matrix that is Hermitian by construction,
+    as the differences of states and reductions whose trace norms the paper
+    takes are: the moduli of :func:`_hermitian_spectrum`, the spectrum of
+    its Hermitian part.  Hermiticity is not tested, so a roundoff-sized
+    residual, whose relative defect may be of order 1, takes that route too.
     """
-    m = require_square(m, "trace_norm input")
-    if hermitian or _hermiticity_defect(m) <= 1e-8:
-        return float(np.abs(_hermitian_spectrum(m)).sum())
-    w = np.linalg.eigvalsh(m.conj().T @ m)
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+    return float(np.abs(_hermitian_spectrum(require_square(m, "trace_norm input"))).sum())
 
 
 def purity(rho) -> float:

@@ -123,4 +123,4 @@ def relevance_defect(rho, s: Structure, spec: TypeIProjection) -> float:
     structure's own basis.  Zero (to tolerance) for every valid spec."""
     q = complement(rho, s, spec)
     q_s = to_structure_basis(q, s)
-    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"), hermitian=True)
+    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"))

@@ -73,7 +73,7 @@ def _checked_report(d: np.ndarray, context: str) -> DefectReport:
         )
     return DefectReport(
         defect_matrix=d,
-        trace_norm_defect=trace_norm(d, hermitian=True),
+        trace_norm_defect=trace_norm(d),
         trace_residual=residual,
     )
 
@@ -177,7 +177,7 @@ def commutator_defect(
     check_compatible(s_b, spec_b)
     comm = apply_projection(apply_projection(rho, s_b, spec_b), s_a, spec_a)
     comm -= apply_projection(apply_projection(rho, s_a, spec_a), s_b, spec_b)
-    return trace_norm(comm, hermitian=True)
+    return trace_norm(comm)
 
 
 def _lemma_terms(y_a, v, s_a, spec_a, s_b, spec_b) -> tuple[np.ndarray, ...]:
@@ -212,7 +212,7 @@ def _lemma2_in_basis(v, tau_a, tau_b, spec_a: TypeIProjection, s_b: Structure, s
     A's basis: P_A P_B rho = tau_b (x) R_A and P_B P_A rho =
     v (tau_a (x) R_B) v^H, whose product by v is the one d x d product."""
     comm = _kron(tau_b, spec_a.rho_ref) - v @ _kron_rows(tau_a, spec_b.rho_ref, v.conj().T, s_b)
-    return trace_norm(comm, hermitian=True)
+    return trace_norm(comm)
 
 
 def _cross_reduction(w, y, red, s: Structure, spec: TypeIProjection, s_to: Structure) -> np.ndarray:

@@ -195,7 +195,7 @@ def computational_type_iii(dim_e: int) -> TypeIIIProjection:
 def idempotency_defect(rho, s: Structure, spec: TypeIProjection) -> float:
     """Trace norm of P(P rho) - P rho."""
     p1 = project(rho, s, spec)
-    return trace_norm(apply_projection(p1, s, spec) - p1, hermitian=True)
+    return trace_norm(apply_projection(p1, s, spec) - p1)
 
 
 class SeparableEnsemble:

@@ -94,6 +94,30 @@ def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
     assert list(out.glob("*.tmp*")) == []
 
 
+def test_failed_summary_write_keeps_the_earlier_report_pair(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    config = tmp_path / "qcr.json"
+    cfg = {"version": 1, "scenario": "qcr-demo", "base_seed": 1, "output_dir": "out", "layout": [2, 2], "trials": 2}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(config), "--output-dir", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in ("summary.json", "series.csv")}
+    config.write_text(json.dumps({**cfg, "base_seed": 2}), encoding="utf-8")
+    write_text = Path.write_text
+
+    def failing_write_text(path, *args, **kwargs):
+        if path.name.startswith("summary.json.tmp"):
+            raise OSError(28, "No space left on device", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    assert main(["run", str(config), "--output-dir", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "io"
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert list(out.glob("*.tmp*")) == []
+
+
 def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     # 10**15 + 1 grid times in float64 need 7.1 PiB, more than any process
     # address space holds, so the allocation is refused at once.  The config

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tpslab import (
     RandomStream,
     linalg,
-    relativity,
     check_density_matrix,
     eigh,
     maximally_mixed,
@@ -170,27 +169,15 @@ class TestTraceNorm:
     def test_diagonal(self):
         assert abs(trace_norm(np.diag([1.0, -2.0])) - 3.0) <= 1e-14
 
-    def test_hermitian_flag_skips_the_test_for_roundoff_sized_input(self, monkeypatch):
+    def test_roundoff_sized_input_takes_the_hermitian_route(self):
         # the idempotency residual of the lemma2 sweeps is of this kind: its
-        # relative Hermiticity defect is of order 1, so the test alone sends
-        # it down the m^H m route
+        # relative Hermiticity defect is of order 1
         m = 1e-17 * stream(170).complex_matrix(6, 6)
         m += m.conj().T
         m[0, 1] += 3e-18
         assert hermiticity_defect(m) > 1e-8
         want = float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum())
-        monkeypatch.setattr(linalg, "_hermiticity_defect", lambda m: pytest.fail("tested Hermiticity"))
-        assert trace_norm(m, hermitian=True) == want
-
-    def test_internal_callers_pass_hermitian(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(relativity, "trace_norm", lambda m, **kw: calls.append(kw) or 0.0)
-        relativity._checked_report(np.diag([0.5, -0.5]).astype(complex), "test")
-        assert calls == [{"hermitian": True}]
-
-    def test_non_hermitian(self):
-        m = np.array([[0.0, 2.0], [0.0, 0.0]])
-        assert abs(trace_norm(m) - 2.0) <= 1e-10
+        assert trace_norm(m) == want
 
     @pytest.mark.parametrize(
         "m", [np.zeros((5, 5)), np.diag([0.5, -2.0, 0.0, 1e-17, -0.25 + 0.5j])], ids=["zero", "diagonal"]
@@ -198,7 +185,7 @@ class TestTraceNorm:
     def test_diagonal_input_needs_no_eigensolver(self, monkeypatch, m):
         want = float(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2)).sum())
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("eigvalsh called"))
-        assert trace_norm(m, hermitian=True) == want
+        assert trace_norm(m) == want
 
 
 class TestHermiticityDefect:

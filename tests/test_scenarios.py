@@ -47,7 +47,7 @@ def use_workers(monkeypatch, workers: int) -> None:
     monkeypatch.setattr(scenarios, "_map_trials", functools.partial(MAP_TRIALS, workers=workers))
 
 
-def run_sweep(tmp_path, scenario: str, name: str) -> int:
+def run_sweep(tmp_path, scenario: str, name: str, trials: int = 9) -> int:
     config = tmp_path / f"{scenario}.json"
     cfg = {
         "version": 1,
@@ -56,7 +56,7 @@ def run_sweep(tmp_path, scenario: str, name: str) -> int:
         "output_dir": "out",
         "layout": [2, 2, 2, 2],
         "structure_a": {"grouping": [0, 1]},
-        "trials": 9,
+        "trials": trials,
     }
     config.write_text(json.dumps(cfg), encoding="utf-8")
     return main(["run", str(config), "--output-dir", str(tmp_path / name)])
@@ -198,6 +198,30 @@ def test_trials_run_in_this_process_without_openblas(oracle_configs, monkeypatch
     assert [r[1] for r in rows] == list(range(9))
     assert {r[0] for r in rows} == {os.getpid()}
     assert [r[1:] for r in rows] == [r[1:] for r in pooled]
+
+
+@needs_pool
+@pytest.mark.parametrize("trials", [1, 7, 13, 35])
+def test_pooled_rows_equal_in_process_rows(oracle_configs, trials):
+    # one trial runs in this process; 13 trials at 4 chunks per worker and 35
+    # at 8 leave a short last chunk
+    cfg = dataclasses.replace(oracle_configs["2222", "grouping"][0], trials=trials)
+    pooled = MAP_TRIALS(pid_lemma1_trial, cfg, workers=2)
+    rows = MAP_TRIALS(pid_lemma1_trial, cfg, workers=1)
+    assert [r[1:] for r in pooled] == [r[1:] for r in rows]
+    assert [r[1] for r in pooled] == list(range(trials))
+    assert (os.getpid() in {r[0] for r in pooled}) == (trials == 1)
+
+
+@pytest.mark.parametrize("scenario", ["lemma1-sweep", "lemma2-sweep"])
+def test_a_lemma_sweep_checks_its_fixed_pair_once(tmp_path, monkeypatch, capsys, scenario):
+    calls = []
+    check = scenarios.check_compatible
+    monkeypatch.setattr(scenarios, "check_compatible", lambda s, spec: calls.append(s) or check(s, spec))
+    use_workers(monkeypatch, 1)
+    assert run_sweep(tmp_path, scenario, "out", trials=6) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

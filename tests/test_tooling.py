@@ -218,7 +218,7 @@ NOT_RUN_BY_THE_CLI = {
     "config._reject_non_finite": "error path: a NaN or Infinity in a config",
     "cli.entry": "the installed console script's entry point, which calls main",
     "scenarios._init_worker": "runs in forked sweep workers; the guard runs the trials in-process",
-    "scenarios._run_chunk": "runs in forked sweep workers; the guard runs the trials in-process",
+    "scenarios._run_trial": "runs in forked sweep workers; the guard runs the trials in-process",
     "structures.write_matrix_file": "writes the matrix files that configs read",
     "linalg.eigh": "perfbench/layers.py traces it",
     "linalg.von_neumann_entropy": "perfbench/layers.py traces it",
