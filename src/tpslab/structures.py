@@ -7,8 +7,9 @@ kinds, fixed when it is built:
 * a grouping of elementary factors, which permutes the reference basis.  It
   is stored as the index map it defines, and it changes the basis of a
   vector or an operator by an index gather, which equals the dense products
-  bit for bit.  It also records which factors it groups, so that callers
-  can work on the factor tensors of a state directly;
+  bit for bit; transition matrices gather with it too.  It also records
+  which factors it groups, so that callers can work on the factor tensors
+  of a state directly;
 * a dense unitary, an arbitrary redefinition of the degrees of freedom.  It
   is stored as given, and basis changes take matrix products.  A unitary
   that happens to permute the reference basis is stored dense as well.
@@ -66,17 +67,16 @@ class Structure:
     * ``grouping=(layout dims, system factor positions)``, the positions
       sorted, distinct, in range and a nonempty proper subset, with
       ``dim_s`` the product of their dims, as :func:`structure_from_grouping`
-      builds it.  ``basis`` is
-      derived from it: the index map whose entry ``k`` is the reference
-      basis index of product vector ``k``;
+      builds it.  ``basis`` is derived from it: the index map whose entry
+      ``k`` is the reference basis index of product vector ``k``;
     * ``basis``, a dense unitary whose column ``k`` is product vector ``k``
       in reference coordinates, with ``grouping`` left ``None``.  Unitarity
       is exactly the orthonormality constraint on the change-of-structure
       coefficients.
 
-    Product vector ``k = m * dim_e + n`` is ``|m>_S (x) |n>_E``.  :attr:`w`
-    is the dense unitary of either kind; for a grouping it is built on each
-    read.
+    Product vector ``k = m * dim_e + n`` is ``|m>_S (x) |n>_E``.  Either
+    kind stands for the unitary ``W`` with these columns; no function here
+    builds it densely for a grouping.
     """
 
     dim_s: int
@@ -109,16 +109,6 @@ class Structure:
     @property
     def total_dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def w(self) -> np.ndarray:
-        """The dense unitary; built on each read for a grouping."""
-        if self.grouping is None:
-            return self.basis
-        w = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        w[self.basis, np.arange(self.total_dim)] = 1.0
-        w.setflags(write=False)
-        return w
 
 
 def structure_from_grouping(layout: FactorLayout, s_indices) -> Structure:
@@ -246,7 +236,12 @@ def transition_matrix(s_from: Structure, s_to: Structure) -> np.ndarray:
         t = np.zeros((s_to.total_dim, s_to.total_dim), dtype=np.complex128)
         t[np.argsort(s_to.basis)[s_from.basis], np.arange(s_from.total_dim)] = 1.0
         return t
-    return vector_to_structure_basis(s_from.w, s_to)
+    if s_from.grouping is not None:
+        # column k of W_to^H W_from is the conjugate of W_to's row s_from.basis[k]
+        return np.ascontiguousarray(s_to.basis[s_from.basis].conj().T)
+    if s_to.grouping is not None:
+        return s_from.basis[s_to.basis]
+    return s_to.basis.conj().T @ s_from.basis
 
 
 def write_matrix_file(path, m, split_dim: int = 0) -> None:

@@ -3,11 +3,11 @@
 The type II and type III projection families, the mixed-state
 expansion-coefficient route of Lemma 1 (a separable ensemble), the
 expansion coefficient of one product vector, the reference split itself,
-and the input-checking Kronecker product and Hermiticity defect.  They
-build on ``tpslab``'s functions and kernels; no module under ``src/``
-imports this one.  A projection family here gives the ``dim_e`` and
-``terms()`` of :class:`tpslab.projections.TypeIProjection`, so the
-package's projection kernels and ``trajectory`` run it unchanged.
+a structure's dense unitary, and the input-checking Kronecker product and
+Hermiticity defect.  They build on ``tpslab``'s functions and kernels; no
+module under ``src/`` imports this one.  A projection family here gives the
+``dim_e`` and ``terms()`` of :class:`tpslab.projections.TypeIProjection`, so
+the package's projection kernels and ``trajectory`` run it unchanged.
 """
 
 from __future__ import annotations
@@ -49,13 +49,25 @@ def identity_structure(dim_s: int, dim_e: int) -> Structure:
     return Structure(dim_s, dim_e, grouping=((dim_s, dim_e), (0,)))
 
 
+def dense_unitary(s: Structure) -> np.ndarray:
+    """The structure's unitary as a dense matrix: the stored unitary, or for
+    a grouping the permutation with ones at ``[s.basis[k], k]``."""
+    if s.grouping is None:
+        return s.basis
+    w = np.zeros((s.total_dim, s.total_dim), dtype=np.complex128)
+    w[s.basis, np.arange(s.total_dim)] = 1.0
+    w.setflags(write=False)
+    return w
+
+
 def d_coefficient(s: Structure, i: int, alpha: int, m: int, n: int) -> complex:
     """Expansion coefficient of the reference product vector ``|i, alpha>``
     in the structure's product basis vector ``|m, n>``.
 
     The reference register is split with the structure's own factor
     dimensions.  Summing the coefficient against its conjugate over (m, n)
-    reproduces Kronecker deltas in (i, alpha): that is unitarity of ``w``.
+    reproduces Kronecker deltas in (i, alpha): that is unitarity of
+    :func:`dense_unitary`.
     """
     for value, bound, name in (
         (i, s.dim_s, "i"),

@@ -87,7 +87,7 @@ DYNAMICS_CASES = [case for case in CASES if case.startswith("dynamics-")]
 @pytest.mark.parametrize("case", DYNAMICS_CASES)
 def test_dynamics_golden_on_both_propagation_routes(tmp_path, monkeypatch, case, chebyshev):
     # the route rule picks eigh at these small dimensions; force each route
-    assert len(DYNAMICS_CASES) == 3
+    assert len(DYNAMICS_CASES) == 4
     taken = force_route(monkeypatch, chebyshev)
     check_report(run(case, tmp_path / "out"), case)
     assert taken == ["_chebyshev_route" if chebyshev else "_eigh_route"]

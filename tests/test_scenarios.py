@@ -30,7 +30,7 @@ from tpslab import (
     write_matrix_file,
 )
 from tpslab.cli import main
-from oracles import idempotency_defect, kron
+from oracles import dense_unitary, idempotency_defect, kron
 
 MAP_TRIALS = scenarios._map_trials
 BLAS = scenarios._openblas_thread_api()
@@ -115,7 +115,7 @@ def test_grouping_and_its_unitary_file_give_identical_reports(tmp_path, capsys, 
     # matrix agree bit for bit
     layout = FactorLayout((2, 3, 2, 2))
     s = structure_from_grouping(layout, (1, 3))
-    write_matrix_file(tmp_path / "w.tpsw", s.w, split_dim=s.dim_s)
+    write_matrix_file(tmp_path / "w.tpsw", dense_unitary(s), split_dim=s.dim_s)
     reports = []
     for name, structure_a in (("grouping", {"grouping": [1, 3]}), ("unitary", {"unitary_file": "w.tpsw"})):
         config = tmp_path / f"{name}.json"

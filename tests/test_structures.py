@@ -21,7 +21,7 @@ from tpslab import (
     write_matrix_file,
 )
 from tpslab.structures import vector_to_structure_basis
-from oracles import d_coefficient, identity_structure, kron
+from oracles import d_coefficient, dense_unitary, identity_structure, kron
 from conftest import bell_density, haar_structure, stream, teleport_setup
 
 THREE_QUBITS = FactorLayout((2, 2, 2))
@@ -32,19 +32,19 @@ class TestGrouping:
     def test_leading_factor_is_identity(self):
         s = structure_from_grouping(THREE_QUBITS, (0,))
         assert (s.dim_s, s.dim_e) == (2, 4)
-        np.testing.assert_array_equal(s.w, np.eye(8))
+        np.testing.assert_array_equal(dense_unitary(s), np.eye(8))
 
     def test_contiguous_prefix_is_identity(self):
         s = structure_from_grouping(THREE_QUBITS, (0, 1))
         assert (s.dim_s, s.dim_e) == (4, 2)
-        np.testing.assert_array_equal(s.w, np.eye(8))
+        np.testing.assert_array_equal(dense_unitary(s), np.eye(8))
 
     def test_swap_permutation_exhaustive(self):
         s = structure_from_grouping(TWO_QUBITS, (1,))
         basis = np.eye(2)
         for i in range(2):
             for j in range(2):
-                got = s.w @ np.kron(basis[:, i], basis[:, j])
+                got = dense_unitary(s) @ np.kron(basis[:, i], basis[:, j])
                 np.testing.assert_array_equal(got, np.kron(basis[:, j], basis[:, i]))
 
     def test_round_trip_through_grouping(self):
@@ -88,7 +88,7 @@ class TestGrouping:
         # the index map is derived from the grouping, never given with it
         s = structure_from_grouping(THREE_QUBITS, (1,))
         with pytest.raises(ValueError, match="exactly one of"):
-            Structure(2, 4, s.w, grouping=s.grouping)
+            Structure(2, 4, dense_unitary(s), grouping=s.grouping)
         with pytest.raises(ValueError, match="exactly one of"):
             Structure(2, 4)
         with pytest.raises(ValueError, match="does not have system dim 4"):
@@ -128,7 +128,8 @@ class TestUnitaryStructure:
 
     def test_haar_unitary_accepted(self):
         s = haar_structure(4, 2, 22)
-        assert np.linalg.norm(s.w.conj().T @ s.w - np.eye(4)) <= 1e-10
+        w = dense_unitary(s)
+        assert np.linalg.norm(w.conj().T @ w - np.eye(4)) <= 1e-10
 
     def test_rejects_non_unitary_with_defect(self):
         w = np.eye(4, dtype=complex)
@@ -222,12 +223,13 @@ class TestDCoefficients:
         # the coefficients expand each reference product vector in the
         # structure basis
         s = haar_structure(4, 2, 28)
+        w = dense_unitary(s)
         for i in range(2):
             for a in range(2):
                 vec = np.zeros(4, dtype=complex)
                 for m in range(2):
                     for n in range(2):
-                        vec += d_coefficient(s, i, a, m, n) * s.w[:, m * 2 + n]
+                        vec += d_coefficient(s, i, a, m, n) * w[:, m * 2 + n]
                 expected = np.zeros(4)
                 expected[i * 2 + a] = 1.0
                 np.testing.assert_allclose(vec, expected, atol=1e-12)
@@ -243,7 +245,12 @@ class TestDCoefficients:
 
 
 def _dense_pair(m, s):
-    return s.w.conj().T @ m @ s.w, s.w @ m @ s.w.conj().T
+    w = dense_unitary(s)
+    return w.conj().T @ m @ w, w @ m @ w.conj().T
+
+
+def _dense_transition(s_from, s_to):
+    return dense_unitary(s_to).conj().T @ dense_unitary(s_from)
 
 
 class TestPermutationGather:
@@ -275,7 +282,7 @@ class TestPermutationGather:
         write_matrix_file(path, np.eye(12)[:, perm], split_dim=4)
         s = read_structure_file(path)
         assert s.basis.ndim == 2 and s.grouping is None
-        np.testing.assert_array_equal(s.w, np.eye(12)[:, perm])
+        np.testing.assert_array_equal(dense_unitary(s), np.eye(12)[:, perm])
         m = stream(36).complex_matrix(12, 12)
         np.testing.assert_array_equal(to_structure_basis(m, s), m[np.ix_(perm, perm)])
         np.testing.assert_array_equal(from_structure_basis(m, s), m[np.ix_(inv, inv)])
@@ -288,7 +295,7 @@ class TestPermutationGather:
         w[0, 1] = -1.0
         s = structure_from_unitary(w, 2, 2)
         assert s.basis.ndim == 2
-        np.testing.assert_array_equal(s.w, w)
+        np.testing.assert_array_equal(dense_unitary(s), w)
 
     def test_haar_structure_takes_dense_path(self):
         s = haar_structure(12, 3, 37)
@@ -302,22 +309,64 @@ class TestPermutationGather:
     def test_vectors_gather(self, shape):
         psi = stream(39).complex_normals(int(np.prod(shape))).reshape(shape)
         for s in [identity_structure(3, 4)] + [structure_from_grouping(self.LAYOUT, g) for g in ((0,), (1, 2), (0, 2))]:
-            np.testing.assert_array_equal(vector_to_structure_basis(psi, s), s.w.conj().T @ psi)
+            np.testing.assert_array_equal(vector_to_structure_basis(psi, s), dense_unitary(s).conj().T @ psi)
         s = haar_structure(12, 3, 40)
-        np.testing.assert_array_equal(vector_to_structure_basis(psi, s), s.w.conj().T @ psi)
+        np.testing.assert_array_equal(vector_to_structure_basis(psi, s), dense_unitary(s).conj().T @ psi)
 
     def test_transition_matrices_and_coefficients(self):
         structures = [structure_from_grouping(self.LAYOUT, g) for g in ((0,), (1,), (0, 2), (1, 2))]
         structures.append(haar_structure(12, 3, 41))
         for s_from in structures:
             for s_to in structures:
-                np.testing.assert_array_equal(transition_matrix(s_from, s_to), s_to.w.conj().T @ s_from.w)
+                np.testing.assert_array_equal(transition_matrix(s_from, s_to), _dense_transition(s_from, s_to))
         for s in structures[:3]:
-            w = s.w
+            w = dense_unitary(s)
             for i, alpha, m, n in itertools.product(range(s.dim_s), range(s.dim_e), range(s.dim_s), range(s.dim_e)):
                 got = d_coefficient(s, i, alpha, m, n)
                 want = complex(np.conj(w[i * s.dim_e + alpha, m * s.dim_e + n]))
                 assert (got.real, math.copysign(1, got.imag)) == (want.real, math.copysign(1, want.imag))
+
+
+class TestTransitionMatrix:
+    """``transition_matrix`` takes each kind pair directly, gathering on a
+    grouping's side, and must equal the dense product ``W_to^H W_from`` bit
+    for bit, as a C-contiguous array."""
+
+    # layout, two groupings and the system dims of two Haar structures
+    CASES = {
+        "2x3x2x2": ((2, 3, 2, 2), (1, 3), (0, 2), 6, 4),
+        "3x4": ((3, 4), (0,), (1,), 3, 4),
+        "2^6": ((2,) * 6, (0, 1, 2), (1, 4), 8, 4),
+    }
+
+    @pytest.mark.parametrize("kinds", ["grouping-grouping", "grouping-dense", "dense-grouping", "dense-dense"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fixed_kind_pairs_equal_the_dense_product(self, case, kinds):
+        dims, g_from, g_to, ds_from, ds_to = self.CASES[case]
+        layout = FactorLayout(dims)
+        d = layout.total_dim
+        from_kind, to_kind = kinds.split("-")
+        s_from = structure_from_grouping(layout, g_from) if from_kind == "grouping" else haar_structure(d, ds_from, 42)
+        s_to = structure_from_grouping(layout, g_to) if to_kind == "grouping" else haar_structure(d, ds_to, 43)
+        t = transition_matrix(s_from, s_to)
+        assert t.flags.c_contiguous and t.dtype == np.complex128
+        np.testing.assert_array_equal(t.view(np.uint64), _dense_transition(s_from, s_to).view(np.uint64))
+
+    def test_grouping_to_dense_peak_memory(self):
+        # a dense route holds the permutation matrix beside two d x d
+        # products, 3 d^2 entries; the gather holds the result and one
+        # conjugated copy, 2 d^2
+        layout = FactorLayout((2,) * 10)
+        s_from = structure_from_grouping(layout, range(5))
+        s_to = haar_structure(1024, 32, 44)
+        tracemalloc.start()
+        try:
+            t = transition_matrix(s_from, s_to)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.shape == (1024, 1024)
+        assert peak <= 2.1 * 1024**2 * 16
 
 
 class TestMatrixFiles:
@@ -332,10 +381,10 @@ class TestMatrixFiles:
     def test_structure_round_trip(self, tmp_path):
         s = haar_structure(6, 3, 31)
         path = tmp_path / "w.tpsw"
-        write_matrix_file(path, s.w, split_dim=3)
+        write_matrix_file(path, dense_unitary(s), split_dim=3)
         got = read_structure_file(path)
         assert (got.dim_s, got.dim_e) == (3, 2)
-        np.testing.assert_array_equal(got.w, s.w)
+        np.testing.assert_array_equal(dense_unitary(got), dense_unitary(s))
 
     def test_bad_magic_names_file_and_header(self, tmp_path):
         path = tmp_path / "bad.tpsw"

@@ -62,7 +62,7 @@ def test_basis_reads_are_found(source):
 def test_only_structures_reads_the_stored_basis():
     # a structure stores a grouping's index map or a dense unitary, and only
     # structures.py decides between them; other modules test s.grouping and
-    # call its functions, or read the dense s.w
+    # call its functions, which never build a grouping's dense unitary
     modules = sorted((ROOT / "src" / "tpslab").glob("*.py"))
     assert "structures.py" in {path.name for path in modules}
     offenders = [
