@@ -11,11 +11,11 @@ rule from d, the rank r, the spectral half-width R of H and the grid times:
   depend on t, so one recurrence of about R max|t| products of H with the
   r vectors serves every grid point.  It needs an interval that holds H's
   spectrum: a short Lanczos run estimates it, and two Cholesky
-  factorizations prove it, widening it until they exist.  An unproven
-  interval 5% too narrow leaves amplitude errors of order 1e-10 that the
-  orthonormality check does not see.
+  factorizations prove it.  An unproven interval 5% too narrow leaves
+  amplitude errors of order 1e-10 that the orthonormality check does not
+  see, so an estimate that fails its proof sends the run to eigh.
 * one eigendecomposition of H, which is cheaper for high rank, long spans,
-  many grid points and small d.
+  many grid points and small d, and needs no interval.
 
 The route depends only on the inputs, so the report bytes do too.  On
 either route the value at one time does not depend on the other grid
@@ -251,11 +251,10 @@ def trajectory(
       and serves every point.  The series converges only on an interval
       that holds the spectrum, so the interval estimated by a short Lanczos
       run is proven first: hi I - H and H - lo I must both have a Cholesky
-      factorization, and a bound that fails is widened and checked again.
-      The rule is asked again with the proven interval, which can be wider.
-    * eigh, for high rank, long spans and many points: from one
-      eigendecomposition H = V diag(w) V^H, psi_k(t) = V (exp(-i w t) *
-      V^H psi_k).
+      factorization.  An estimate that fails its proof takes the eigh route.
+    * eigh, for high rank, long spans and many points, and for an unproven
+      estimate: from one eigendecomposition H = V diag(w) V^H, psi_k(t) =
+      V (exp(-i w t) * V^H psi_k).
 
     Both routes evolve every point from t = 0 at its absolute time, so a
     point's value does not depend on the other grid times; refining the
@@ -441,7 +440,7 @@ class _BasisPair:
 # timing checked (see _chebyshev_wins).
 LANCZOS_STEPS = 20
 LANCZOS_SEED = 0x5EED  # a fixed start vector: the interval, so the bytes, depend on H alone
-INTERVAL_PAD = 0.01  # widening of the Lanczos estimate, relative to its half-width
+INTERVAL_PAD = 0.01  # padding of the Lanczos estimate, relative to its half-width
 CHEBYSHEV_TAIL = 1e-18  # the series ends where |J_k| falls below this
 FIXED_PRODUCTS = 80  # the Lanczos run with its reorthogonalization, in H @ psi products
 EIGH_PRODUCTS_PER_DIM = 2.0  # eigh(H) and the two Cholesky proofs, in H @ psi products per unit of d
@@ -453,21 +452,20 @@ def _evolved_vectors(weights: np.ndarray, vectors: np.ndarray, h: np.ndarray, gr
     """The ensemble's vectors at each grid time, in time order, each checked
     orthonormal, by the route that :func:`_chebyshev_wins` picks.  A
     maximally mixed ensemble (r = d, equal weights) is I/d at every time:
-    its vectors are returned unevolved.  The rule is asked three times: with
-    R = 0 (the cheapest any interval allows; no Lanczos run when even that
-    loses), with the Lanczos estimate, and with the proven interval, which
-    can be wider."""
+    its vectors are returned unevolved.  The rule is asked at most twice:
+    with R = 0 (the cheapest any interval allows; no Lanczos run when even
+    that loses) and with the Lanczos estimate.  The Chebyshev route runs
+    only on an estimate that :func:`_holds_spectrum` proves; eigh, which
+    needs no interval, takes every other run."""
     dim, rank = vectors.shape
     times = grid.times()
     if rank == dim and np.all(weights == weights[0]):
         return [vectors] * times.size
     route = None
     if _chebyshev_wins(dim, rank, 0.0, times):
-        interval = _lanczos_interval(h)
-        if _chebyshev_wins(dim, rank, (interval[1] - interval[0]) / 2, times):
-            interval = _proven_interval(h, *interval)
-            if _chebyshev_wins(dim, rank, (interval[1] - interval[0]) / 2, times):
-                route = _chebyshev_route(vectors, h, times, interval)
+        lo, hi = _lanczos_interval(h)
+        if _chebyshev_wins(dim, rank, (hi - lo) / 2, times) and _holds_spectrum(h, lo, hi):
+            route = _chebyshev_route(vectors, h, times, (lo, hi))
     if route is None:
         route = _eigh_route(vectors, h, times)
     return (_checked_orthonormal(psi_t, t) for t, psi_t in zip(times, route))
@@ -607,7 +605,7 @@ def _lanczos_interval(h: np.ndarray) -> tuple[float, float]:
     values of LANCZOS_STEPS Lanczos steps (full reorthogonalization, a
     fixed-seed start vector), each moved out by its residual norm
     |beta_m s_m| and by INTERVAL_PAD of the half-width.  Not a bound:
-    :func:`_proven_interval` checks it."""
+    :func:`_holds_spectrum` checks it."""
     dim = h.shape[0]
     q = np.empty((dim, min(LANCZOS_STEPS, dim)), dtype=np.complex128)
     v = RandomStream(LANCZOS_SEED).complex_normals(dim)
@@ -632,37 +630,21 @@ def _lanczos_interval(h: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _proven_interval(h: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi] widened until it provably holds H's spectrum: hi I - H and
-    H - lo I must both have a Cholesky factorization, that is, be positive
-    definite.  A bound that fails moves out by a step that doubles each
-    time; no bound needs to move past the largest absolute row sum of H,
-    which bounds every eigenvalue."""
-    step = INTERVAL_PAD * (hi - lo)
-    return (-_proven_bound(h, -lo, -1.0, step), _proven_bound(h, hi, 1.0, step))
-
-
-def _proven_bound(h: np.ndarray, edge: float, sign: float, step: float) -> float:
-    """The smallest edge tried, starting from ``edge`` and moving up, with
-    edge I - sign H positive definite: a proven upper bound on the spectrum
-    of sign H."""
-    bound = None
-    while not _positive_definite(h, edge, sign):
-        if bound is None:
-            bound = float(np.abs(h).sum(axis=1).max())
-            step = step or bound
-        if edge >= bound:
-            return edge
-        edge, step = min(edge + step, bound), 2 * step
-    return edge
+def _holds_spectrum(h: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether [lo, hi] provably holds H's spectrum: hi I - H and H - lo I
+    must both have a Cholesky factorization, that is, be positive definite."""
+    return _positive_definite(h, hi, 1.0) and _positive_definite(h, -lo, -1.0)
 
 
 def _positive_definite(h: np.ndarray, edge: float, sign: float) -> bool:
-    """Whether edge I - sign H has a Cholesky factorization."""
+    """Whether edge I - sign H has a Cholesky factorization.  The
+    transposed view of the Hermitian matrix is its conjugate, which has
+    the same verdict; it is Fortran-ordered, so LAPACK gets it without a
+    strided copy."""
     a = h * -sign
     a.flat[:: h.shape[0] + 1] += edge
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(a.T)
     except np.linalg.LinAlgError:
         return False
     return True

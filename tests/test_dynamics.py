@@ -567,10 +567,6 @@ def hamiltonian_matrix(kind: str, dim: int, seed: int) -> np.ndarray:
     return np.zeros((dim, dim), dtype=np.complex128)
 
 
-def proven_interval(h: np.ndarray) -> tuple[float, float]:
-    return dynamics._proven_interval(h, *dynamics._lanczos_interval(h))
-
-
 def assert_routes_agree(vectors, h, grid, interval):
     chebyshev = list(dynamics._chebyshev_route(vectors, h, grid.times(), interval))
     exact = list(dynamics._eigh_route(vectors, h, grid.times()))
@@ -580,7 +576,7 @@ def assert_routes_agree(vectors, h, grid, interval):
 
 
 class TestPropagationRoutes:
-    """The Chebyshev series on the proven interval against the eigh route;
+    """The Chebyshev series on the Lanczos interval against the eigh route;
     both propagate every point from t = 0 at its absolute time."""
 
     @settings(max_examples=40, deadline=None)
@@ -596,18 +592,18 @@ class TestPropagationRoutes:
     def test_chebyshev_series_matches_eigh(self, dim, rank, kind, t0, span, steps, seed):
         h = Hamiltonian(hamiltonian_matrix(kind, dim, seed)).mat
         vectors = np.linalg.qr(stream(seed, 1).complex_matrix(dim, rank))[0]
-        assert_routes_agree(vectors, h, TimeGrid(t0, t0 + span, steps), proven_interval(h))
+        assert_routes_agree(vectors, h, TimeGrid(t0, t0 + span, steps), dynamics._lanczos_interval(h))
 
     def test_negative_times(self):
         h = gue_hamiltonian(64, 171).mat
-        assert_routes_agree(stream(172).haar_pure(64)[:, None], h, TimeGrid(-2.5, -0.5, 4), proven_interval(h))
+        assert_routes_agree(stream(172).haar_pure(64)[:, None], h, TimeGrid(-2.5, -0.5, 4), dynamics._lanczos_interval(h))
 
     def test_long_series_at_the_crossover(self):
         # one point at the largest R |t| the rule still sends to Chebyshev at
         # d = 512: the series has about 2 d terms, the longest it ever runs
         dim = 512
         h = gue_hamiltonian(dim, 179).mat
-        lo, hi = proven_interval(h)
+        lo, hi = dynamics._lanczos_interval(h)
         half = (hi - lo) / 2
         wins = (x for x in range(2 * dim, 0, -1) if dynamics._chebyshev_wins(dim, 1, half, np.array([0.0, x / half])))
         x = next(wins, 0)
@@ -617,7 +613,7 @@ class TestPropagationRoutes:
 
     def test_points_do_not_depend_on_the_grid(self, monkeypatch):
         h = gue_hamiltonian(64, 181).mat
-        interval = proven_interval(h)
+        interval = dynamics._lanczos_interval(h)
         vectors = np.linalg.qr(stream(182).complex_matrix(64, 2))[0]
         times = np.array([-2.0, 0.0, 0.7, 1.5, 3.0])
         within = list(dynamics._chebyshev_route(vectors, h, times, interval))
@@ -629,21 +625,26 @@ class TestPropagationRoutes:
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_interval_holds_the_spectrum(self):
+        # the zero H's estimate is the point [0, 0]: 0 I - H is singular, so
+        # its proof fails, and a run on it takes the eigh route
         for kind in ("gue", "diagonal", "scalar", "zero"):
             h = hamiltonian_matrix(kind, 32, 173)
-            lo, hi = proven_interval(h)
+            lo, hi = dynamics._lanczos_interval(h)
             spectrum = np.linalg.eigvalsh(h)
             assert lo <= spectrum[0] and spectrum[-1] <= hi, kind
+            assert dynamics._holds_spectrum(h, lo, hi) is (kind != "zero"), kind
 
-    def test_narrowed_estimate_is_widened_by_the_proof(self, monkeypatch):
+    def test_narrowed_estimate_fails_its_proof(self, monkeypatch):
         h = gue_hamiltonian(256, 174)
         lo, hi = dynamics._lanczos_interval(h.mat)
         center, half = (hi + lo) / 2, (hi - lo) / 2
         narrowed = (center - 0.95 * half, center + 0.95 * half)
         spectrum = np.linalg.eigvalsh(h.mat)
         assert spectrum[0] < narrowed[0] and narrowed[1] < spectrum[-1]
-        proven = dynamics._proven_interval(h.mat, *narrowed)
-        assert proven[0] <= spectrum[0] and spectrum[-1] <= proven[1]
+        # each edge is checked: narrowing either one alone fails the proof
+        assert dynamics._holds_spectrum(h.mat, lo, hi)
+        assert not dynamics._holds_spectrum(h.mat, narrowed[0], hi)
+        assert not dynamics._holds_spectrum(h.mat, lo, narrowed[1])
 
         # unproven, the narrowed series misses the goldens' tolerance, and the
         # orthonormality check does not notice (at 0.83 the series blows up
@@ -655,7 +656,8 @@ class TestPropagationRoutes:
         assert max(np.abs(a - b).max() for a, b in zip(unproven, exact)) > 1e-12
         assert max(_orthonormality_defect(a) for a in unproven) < UNITARITY_TOL
 
-        # trajectory proves the estimate it is given before it propagates
+        # trajectory proves the estimate it is given, and propagates an
+        # unproven one by eigh alone
         layout = FactorLayout((2,) * 8)
         args = (
             pure(stream(176).haar_pure(256)),
@@ -670,8 +672,32 @@ class TestPropagationRoutes:
         taken = force_route(monkeypatch, True)
         got = trajectory(*args)
         monkeypatch.setattr(dynamics, "_chebyshev_wins", lambda *a: False)
-        assert_points_close(got, trajectory(*args), 1e-12)
-        assert taken == ["_chebyshev_route", "_eigh_route"]
+        want = trajectory(*args)
+        assert [dataclasses.astuple(p) for p in got] == [dataclasses.astuple(p) for p in want]
+        assert taken == ["_eigh_route", "_eigh_route"]
+
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    def test_proof_verdict_is_that_of_the_untransposed_matrix(self, dim):
+        # _positive_definite factors the transposed view of edge I - sign H,
+        # its conjugate; at edges that cross either end of the spectrum by
+        # 1e-16 to 1e-6 of its value, it gives numpy's verdict on the matrix
+        h = gue_hamiltonian(dim, 187).mat
+        spectrum = np.linalg.eigvalsh(h)
+        verdicts = []
+        for sign, extreme in ((1.0, spectrum[-1]), (-1.0, -spectrum[0])):
+            for rel in np.logspace(-16, -6, 21):
+                for side in (-1.0, 1.0):
+                    edge = extreme + side * rel * abs(extreme)
+                    a = h * -sign
+                    a.flat[:: dim + 1] += edge
+                    try:
+                        np.linalg.cholesky(a)
+                        want = True
+                    except np.linalg.LinAlgError:
+                        want = False
+                    assert dynamics._positive_definite(h, edge, sign) is want, (sign, rel, side)
+                    verdicts.append(want)
+        assert len(verdicts) == 84 and 0 < sum(verdicts) < 84
 
     @pytest.mark.parametrize("setup", [_nested_groupings, _grouping_and_haar], ids=["groupings", "grouping-haar"])
     def test_maximally_mixed_state_is_not_propagated(self, monkeypatch, setup):
@@ -779,24 +805,31 @@ class TestRouteRule:
         trajectory(state, gue_hamiltonian(64, 184), TimeGrid(0.0, 2.0, 7), s_a, max_mixed_spec(32), s_b, max_mixed_spec(8))
         assert taken == ["_eigh_route"]
 
-    def test_a_widened_interval_is_ruled_again(self, monkeypatch):
-        # a proof that widens the interval past the crossover sends the run to eigh
+    def test_the_rule_is_asked_at_most_twice(self, monkeypatch):
+        # with R = 0 and with the Lanczos estimate, which the proof checks as
+        # it is
+        asked = []
+        wins = dynamics._chebyshev_wins
+        monkeypatch.setattr(dynamics, "_chebyshev_wins", lambda *args: asked.append(args[2]) or wins(*args))
+        holds = []
+        proof = dynamics._holds_spectrum
+        monkeypatch.setattr(dynamics, "_holds_spectrum", lambda *args: holds.append(args[1:]) or proof(*args))
+        taken = spy_routes(monkeypatch)
+        h = gue_hamiltonian(256, 186)
         layout = FactorLayout((2,) * 8)
-        args = (
+        trajectory(
             pure(stream(185).haar_pure(256)),
-            gue_hamiltonian(256, 186),
+            h,
             TimeGrid(0.0, 2.0, 7),
             structure_from_grouping(layout, (0,)),
             max_mixed_spec(128),
             structure_from_grouping(layout, (0, 1, 2, 3)),
             max_mixed_spec(16),
         )
-        taken = spy_routes(monkeypatch)
-        want = trajectory(*args)
-        proven = dynamics._proven_interval
-        monkeypatch.setattr(dynamics, "_proven_interval", lambda h, lo, hi: tuple(20 * b for b in proven(h, lo, hi)))
-        assert_points_close(trajectory(*args), want, 1e-12)
-        assert taken == ["_chebyshev_route", "_eigh_route"]
+        lo, hi = dynamics._lanczos_interval(h.mat)
+        assert asked == [0.0, (hi - lo) / 2]
+        assert holds == [(lo, hi)]
+        assert taken == ["_chebyshev_route"]
 
 
 class TestSchmidtRoute:

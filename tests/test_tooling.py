@@ -255,6 +255,13 @@ def test_decorated_functions_start_at_their_first_decorator(tmp_path):
     assert defined_functions(tmp_path) == {(str(tmp_path / "m.py"), 2): "m.C.f"}
 
 
+def test_line_trace_names_each_line_by_its_innermost_function(tmp_path):
+    source = "X = 1\n\nclass C:\n    def f(self):\n        return g(lambda: 0)\n\n    y = 2\n"
+    (tmp_path / "m.py").write_text(source, encoding="utf-8")
+    lines = load_tool("line_trace").executable_lines(tmp_path / "m.py")
+    assert (lines[1], lines[4], lines[5], lines[7]) == ("<module>", "C.f", "C.f.<locals>.<lambda>", "C")
+
+
 def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch):
     # validate, then run, the golden configs and variant 0 of each benchmark
     # workload, with the sweep trials in this process, and record every
