@@ -264,8 +264,7 @@ def trajectory(
     orthonormal, else :class:`InvariantViolation`; then rho_t has the
     weights as its spectrum, and S(rho_t) is their entropy.  Both reduced
     trajectories come from the same state; no projection feeds back into
-    the dynamics.  The commutator defect is recorded as NaN unless both
-    specs are type_i (its defined scope).
+    the dynamics.
 
     Per pair, one kernel gives the Lemma 1 reports and the Lemma 2 value at
     each time, and for each structure the weighted vectors as a tensor
@@ -274,8 +273,7 @@ def trajectory(
     validated once, and both kernels agree with the public functions to
     roundoff:
 
-    * two groupings of one layout with type_i specs (the pairs that
-      ``dynamics-trace`` configs build): the closed forms of
+    * two groupings of one layout: the closed forms of
       :class:`_GroupingPair` on the vectors' factor tensors;
     * every other pair: the Lemma kernels of :mod:`relativity` on the
       vectors in A's product basis, which the lemma sweeps run too
@@ -286,11 +284,10 @@ def trajectory(
         raise ValueError("trajectory: state, hamiltonian and structure dims do not match")
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
-    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
-    if both_type_i and s_a.grouping is not None and s_b.grouping is not None and s_a.grouping[0] == s_b.grouping[0]:
+    if s_a.grouping is not None and s_b.grouping is not None and s_a.grouping[0] == s_b.grouping[0]:
         pair = _GroupingPair(s_a.grouping, spec_a.rho_ref, s_b.grouping, spec_b.rho_ref)
     else:
-        pair = _BasisPair(s_a, spec_a, s_b, spec_b, both_type_i)
+        pair = _BasisPair(s_a, spec_a, s_b, spec_b)
     entropy_total = _spectral_entropy(weights)
     scale = np.sqrt(weights)
     points = []
@@ -410,16 +407,14 @@ def _cross_defect(blocks_to: np.ndarray, red_from: np.ndarray, ref_blocks: np.nd
 
 
 class _BasisPair:
-    """Any two structures with any specs.  At each time the weighted
-    vectors change to A's product basis, and the Lemma kernels of
-    :mod:`relativity`, which the lemma sweeps run too, take them from there
-    with ``v = transition_matrix(s_b, s_a)``.  No d x d state is formed.
-    The Lemma 2 value is NaN unless ``both_type_i``."""
+    """Any two structures.  At each time the weighted vectors change to A's
+    product basis, and the Lemma kernels of :mod:`relativity`, which the
+    lemma sweeps run too, take them from there with ``v =
+    transition_matrix(s_b, s_a)``.  No d x d state is formed."""
 
-    def __init__(self, s_a, spec_a, s_b, spec_b, both_type_i: bool):
+    def __init__(self, s_a, spec_a, s_b, spec_b):
         self.pair = (s_a, spec_a, s_b, spec_b)
         self.v = transition_matrix(s_b, s_a)
-        self.both_type_i = both_type_i
 
     def defects(self, y: np.ndarray):
         """As :meth:`_GroupingPair.defects`."""
@@ -427,7 +422,7 @@ class _BasisPair:
         y_a = vector_to_structure_basis(y, s_a)
         y_b, red_a, red_b, tau_a, tau_b = _lemma_terms(y_a, self.v, *self.pair)
         rep_ab, rep_ba = _lemma1_in_basis(red_a, red_b, tau_a, tau_b)
-        lemma2 = _lemma2_in_basis(self.v, tau_a, tau_b, spec_a, s_b, spec_b) if self.both_type_i else math.nan
+        lemma2 = _lemma2_in_basis(self.v, tau_a, tau_b, spec_a, s_b, spec_b)
         r = y.shape[1]
         side_a = (y_a.T.reshape(r, s_a.dim_s, s_a.dim_e), red_a)
         side_b = (y_b.T.reshape(r, s_b.dim_s, s_b.dim_e), red_b)

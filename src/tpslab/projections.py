@@ -6,18 +6,16 @@ the environment partial trace of its complement vanishes identically: the
 projected state carries exactly the information needed to reduce onto the
 split's system factor.
 
-A spec owns its rule: :meth:`TypeIProjection.terms` writes the projection
-as a short sum of Kronecker products, and the kernels here and in
-:mod:`relativity` sum those terms without asking which family the spec
-belongs to.  So any object with a ``kind``, a ``dim_e`` (and a ``dim_s``,
-if it fixes one) and ``terms()`` runs through them; the tests' type II and
-type III families are such objects.
+type_i is the one rule the kernels here and in :mod:`relativity` know: in
+the structure's product basis, P m = Tr_E(m) (x) rho_ref.
+:func:`check_compatible` rejects any other spec at the boundary; the
+paper's type II and type III families are test oracles with their own
+dense rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +34,6 @@ class TypeIProjection:
     """Replace the environment factor by a fixed reference state."""
 
     rho_ref: np.ndarray
-    kind: ClassVar[str] = "type_i"
 
     def __post_init__(self):
         rho = check_density_matrix(self.rho_ref, name="type_i rho_ref").copy()
@@ -47,27 +44,16 @@ class TypeIProjection:
     def dim_e(self) -> int:
         return self.rho_ref.shape[0]
 
-    def terms(self) -> tuple[tuple[None, None, np.ndarray], ...]:
-        """The projection as a short sum of Kronecker products: in the
-        structure's product basis, P m = sum_k sigma_k (x) R_k with sigma_k =
-        a_k Tr_E((I (x) b_k) m), over the returned ``(a_k, b_k, R_k)``; an
-        ``a_k`` or ``b_k`` of None is the identity.  type_i has the one term
-        Tr_E(m) (x) rho_ref."""
-        return ((None, None, self.rho_ref),)
-
 
 def check_compatible(s: Structure, spec: TypeIProjection) -> None:
-    """Reject specs whose factor dimensions do not match the structure's:
-    the environment dim, and the system dim of a spec that has one."""
+    """The one family check: reject a spec that is not type_i, or whose
+    environment dim does not match the structure's."""
+    if not isinstance(spec, TypeIProjection):
+        raise ValueError(f"projections are defined for type_i specs only, got {type(spec).__name__}")
     if spec.dim_e != s.dim_e:
         raise ValueError(
-            f"{spec.kind}: environment dim {spec.dim_e} does not match structure"
+            f"type_i: environment dim {spec.dim_e} does not match structure"
             f" environment dim {s.dim_e}"
-        )
-    dim_s = getattr(spec, "dim_s", s.dim_s)
-    if dim_s != s.dim_s:
-        raise ValueError(
-            f"{spec.kind}: system dim {dim_s} does not match structure system dim {s.dim_s}"
         )
 
 
@@ -84,19 +70,10 @@ def apply_projection(mat, s: Structure, spec: TypeIProjection) -> np.ndarray:
 
 def _project_in_basis(m: np.ndarray, s: Structure, spec: TypeIProjection) -> np.ndarray:
     """The projection on an operator given, and returned, in the structure's
-    own product basis: the dense sum of the spec's terms.  Trusted
-    kernel of :func:`apply_projection`: ``m`` is a complex128 array of the
-    structure's dimension."""
-    ds, de = s.dim_s, s.dim_e
-    out = None
-    for a, b, ref in spec.terms():
-        if b is None:
-            sigma = _partial_trace(m, ds, de, "A")
-        else:
-            sigma = np.einsum("ef,sfte->st", b, m.reshape(ds, de, ds, de))
-        term = _kron(sigma if a is None else a @ sigma, ref)
-        out = term if out is None else out + term
-    return out
+    own product basis: Tr_E(m) (x) rho_ref.  Trusted kernel of
+    :func:`apply_projection`: ``m`` is a complex128 array of the structure's
+    dimension."""
+    return _kron(_partial_trace(m, s.dim_s, s.dim_e, "A"), spec.rho_ref)
 
 
 def project(rho, s: Structure, spec: TypeIProjection) -> np.ndarray:

@@ -13,10 +13,10 @@ The public functions take d x d states in reference coordinates; they are
 the dense route, and the tests' oracle.  The lemma sweeps and
 ``trajectory`` run the trusted kernels of :func:`_lemma_terms` instead.
 These take a state's weighted vectors in one structure's product basis and
-form no d x d state: a projected state is a short sum of Kronecker
-products, which changes basis and reduces through products with the
-transition matrix's rows (C. F. Van Loan, "The ubiquitous Kronecker
-product", J. Comput. Appl. Math. 123 (2000)).
+form no d x d state: a projected state is one Kronecker product, which
+changes basis and reduces through products with the transition matrix's
+rows (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput.
+Appl. Math. 123 (2000)).
 """
 
 from __future__ import annotations
@@ -170,8 +170,6 @@ def commutator_defect(
     """Trace norm of the commutator of two split-adapted type_i projections
     applied to a state.  Symmetric in the two splits; zero when structures
     and specs coincide."""
-    if not isinstance(spec_a, TypeIProjection) or not isinstance(spec_b, TypeIProjection):
-        raise ValueError("commutator_defect is defined for type_i projections only")
     rho = check_density_matrix(rho)
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
@@ -192,8 +190,8 @@ def _lemma_terms(y_a, v, s_a, spec_a, s_b, spec_b) -> tuple[np.ndarray, ...]:
     vh = v.conj().T
     y_b = vh @ y_a
     red_a, red_b = _vector_reduction(y_a, s_a), _vector_reduction(y_b, s_b)
-    tau_a = _cross_reduction(v, y_a, red_a, s_a, spec_a, s_b)
-    tau_b = _cross_reduction(vh, y_b, red_b, s_b, spec_b, s_a)
+    tau_a = _cross_reduction(v, red_a, s_a, spec_a, s_b)
+    tau_b = _cross_reduction(vh, red_b, s_b, spec_b, s_a)
     return y_b, red_a, red_b, tau_a, tau_b
 
 
@@ -215,28 +213,21 @@ def _lemma2_in_basis(v, tau_a, tau_b, spec_a: TypeIProjection, s_b: Structure, s
     return trace_norm(comm)
 
 
-def _cross_reduction(w, y, red, s: Structure, spec: TypeIProjection, s_to: Structure) -> np.ndarray:
-    """Tr_E'(w^H (P rho) w) for rho = y y^H in ``s``'s product basis, with
+def _cross_reduction(w, red, s: Structure, spec: TypeIProjection, s_to: Structure) -> np.ndarray:
+    """Tr_E'(w^H (P rho) w) for a state rho in ``s``'s product basis with
     ``red`` = Tr_E rho, where the columns of ``w`` are ``s_to``'s product
-    basis in ``s``'s coordinates.  P rho is a short sum of Kronecker products
-    sigma_k (x) R_k (the spec's ``terms()``), so each term
-    acts on w's rows, sigma_k on the S index and R_k on the E index, and the
-    E' trace of w^H times their sum is one product
-    (:func:`structures._traced_rows`)."""
-    x = None
-    for a, b, ref in spec.terms():
-        sigma = red if b is None else _vector_reduction(y, s, b)
-        term = _kron_rows(sigma if a is None else a @ sigma, ref, w, s)
-        x = term if x is None else x + term
+    basis in ``s``'s coordinates.  P rho = red (x) rho_ref acts on w's rows,
+    red on the S index and rho_ref on the E index, and the E' trace of w^H
+    times that is one product (:func:`structures._traced_rows`)."""
+    x = _kron_rows(red, spec.rho_ref, w, s)
     return _traced_rows(w, s_to, "S").conj().T @ _traced_rows(x, s_to, "S")
 
 
-def _vector_reduction(y: np.ndarray, s: Structure, b: np.ndarray | None = None) -> np.ndarray:
-    """Tr_E((I (x) b) y y^H) for vectors ``y`` ``(d, r)`` in the structure's
-    product basis; a ``b`` of None is the identity, giving Tr_E(y y^H)."""
+def _vector_reduction(y: np.ndarray, s: Structure) -> np.ndarray:
+    """Tr_E(y y^H) for vectors ``y`` ``(d, r)`` in the structure's product
+    basis."""
     width = s.dim_e * y.shape[1]
-    z = y if b is None else _kron_rows(None, b, y, s)
-    return z.reshape(s.dim_s, width) @ y.reshape(s.dim_s, width).conj().T
+    return y.reshape(s.dim_s, width) @ y.reshape(s.dim_s, width).conj().T
 
 
 def mutual_information(rho, s: Structure) -> float:

@@ -39,8 +39,9 @@ the two factors, not their product, and takes S(rho) = S(rho_s) +
 S(rho_e), with the entropy floor applied per factor.  So a sweep trial
 takes at most one d x d eigensolve, that of Lemma 2's commutator.  The
 public functions (``cross_relevance_matrix``, ``commutator_defect``,
-``mutual_information``) and the tests' ``idempotency_defect`` give the same
-rows to roundoff and serve as the tests' oracle.
+``mutual_information``) and the tests' ``idempotency_defect``, which
+projects by the test oracles' own dense rule, give the same rows to
+roundoff and serve as the tests' oracle.
 """
 
 from __future__ import annotations

@@ -187,17 +187,14 @@ def _reduce(m: np.ndarray, s: Structure, which: str) -> np.ndarray:
     return _partial_trace(m, s.dim_s, s.dim_e, "A" if which == "S" else "B")
 
 
-def _kron_rows(a: np.ndarray | None, b: np.ndarray | None, w: np.ndarray, s: Structure) -> np.ndarray:
+def _kron_rows(a: np.ndarray, b: np.ndarray, w: np.ndarray, s: Structure) -> np.ndarray:
     """``(a (x) b) w`` for an array ``w`` whose rows are in the structure's
     product basis: ``a`` acts on the system index of the rows and ``b`` on
-    the environment index, and None is the identity.  O(d^2 (dim_s +
-    dim_e)) for a d x d ``w``, with no d x d x d product."""
+    the environment index.  O(d^2 (dim_s + dim_e)) for a d x d ``w``, with
+    no d x d x d product."""
     cols = w.shape[1]
-    if b is not None:
-        w = np.matmul(b, w.reshape(s.dim_s, s.dim_e, cols))
-    if a is not None:
-        w = a @ w.reshape(s.dim_s, s.dim_e * cols)
-    return w.reshape(s.total_dim, cols)
+    w = np.matmul(b, w.reshape(s.dim_s, s.dim_e, cols))
+    return (a @ w.reshape(s.dim_s, s.dim_e * cols)).reshape(s.total_dim, cols)
 
 
 def _traced_rows(w: np.ndarray, s: Structure, which: str) -> np.ndarray:

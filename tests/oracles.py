@@ -5,15 +5,15 @@ expansion-coefficient route of Lemma 1 (a separable ensemble), the
 expansion coefficient of one product vector, the reference split itself,
 a structure's dense unitary, and the input-checking Kronecker product and
 Hermiticity defect.  They build on ``tpslab``'s functions and kernels; no
-module under ``src/`` imports this one.  A projection family here gives the
-``dim_e`` and ``terms()`` of :class:`tpslab.projections.TypeIProjection`, so
-the package's projection kernels and ``trajectory`` run it unchanged.
+module under ``src/`` imports this one.  The package's projection kernels
+and ``trajectory`` know type_i only and reject any other spec, so a
+projection family here gives its rule as ``terms()``, and
+:func:`project_terms` sums them densely for every family, type_i included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from tpslab.linalg import (
     InvariantViolation,
     _hermiticity_defect,
     _kron,
+    _partial_trace,
     as_matrix,
     check_density_matrix,
     eigh,
@@ -28,9 +29,9 @@ from tpslab.linalg import (
     require_square,
     trace_norm,
 )
-from tpslab.projections import TypeIProjection, apply_projection, project
+from tpslab.projections import TypeIProjection
 from tpslab.relativity import _checked_report
-from tpslab.structures import Structure, from_structure_basis, transition_matrix
+from tpslab.structures import Structure, from_structure_basis, to_structure_basis, transition_matrix
 
 
 def hermiticity_defect(m) -> float:
@@ -127,7 +128,6 @@ class TypeIIProjection:
     """
 
     bins: tuple[tuple[np.ndarray, np.ndarray], ...]
-    kind: ClassVar[str] = "type_ii"
 
     def __post_init__(self):
         if not self.bins:
@@ -159,7 +159,7 @@ class TypeIIProjection:
     def terms(self) -> tuple[tuple[np.ndarray, None, np.ndarray], ...]:
         """One term per bin, P_k Tr_E(m) (x) rho_k, for the bin's system
         projector P_k and environment state rho_k, in the form of
-        :meth:`TypeIProjection.terms`."""
+        :func:`project_terms`."""
         return tuple((p_s, None, rho_e) for p_s, rho_e in self.bins)
 
 
@@ -169,7 +169,6 @@ class TypeIIIProjection:
     projectors."""
 
     projectors: tuple[np.ndarray, ...]
-    kind: ClassVar[str] = "type_iii"
 
     def __post_init__(self):
         if not self.projectors:
@@ -194,7 +193,7 @@ class TypeIIIProjection:
 
     def terms(self) -> tuple[tuple[None, np.ndarray, np.ndarray], ...]:
         """One term per projector p, Tr_E((I (x) p) m) (x) p, in the form of
-        :meth:`TypeIProjection.terms`."""
+        :func:`project_terms`."""
         return tuple((None, p_e, p_e) for p_e in self.projectors)
 
 
@@ -204,10 +203,30 @@ def computational_type_iii(dim_e: int) -> TypeIIIProjection:
     return TypeIIIProjection(tuple(np.outer(eye[:, i], eye[:, i]) for i in range(dim_e)))
 
 
-def idempotency_defect(rho, s: Structure, spec: TypeIProjection) -> float:
-    """Trace norm of P(P rho) - P rho."""
-    p1 = project(rho, s, spec)
-    return trace_norm(apply_projection(p1, s, spec) - p1)
+def project_terms(mat, s: Structure, spec) -> np.ndarray:
+    """The projection of any family on an operator in reference
+    coordinates, summed densely in the structure's product basis: P m =
+    sum_k sigma_k (x) R_k with sigma_k = a_k Tr_E((I (x) b_k) m), over the
+    spec's ``terms()`` ``(a_k, b_k, R_k)``; an ``a_k`` or ``b_k`` of None is
+    the identity.  type_i has the one term Tr_E(m) (x) rho_ref."""
+    m = to_structure_basis(mat, s)
+    ds, de = s.dim_s, s.dim_e
+    terms = ((None, None, spec.rho_ref),) if isinstance(spec, TypeIProjection) else spec.terms()
+    out = None
+    for a, b, ref in terms:
+        if b is None:
+            sigma = _partial_trace(m, ds, de, "A")
+        else:
+            sigma = np.einsum("ef,sfte->st", b, m.reshape(ds, de, ds, de))
+        term = _kron(sigma if a is None else a @ sigma, ref)
+        out = term if out is None else out + term
+    return from_structure_basis(out, s)
+
+
+def idempotency_defect(rho, s: Structure, spec) -> float:
+    """Trace norm of P(P rho) - P rho, for any family."""
+    p1 = project_terms(check_density_matrix(rho), s, spec)
+    return trace_norm(project_terms(p1, s, spec) - p1)
 
 
 class SeparableEnsemble:

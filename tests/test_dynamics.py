@@ -1,7 +1,6 @@
 import dataclasses
 import importlib.util
 import itertools
-import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -36,7 +35,7 @@ from tpslab import (
 from tpslab.config import MAX_TOTAL_DIM
 from tpslab.linalg import ENTROPY_EIGVAL_FLOOR, UNITARITY_TOL, _orthonormality_defect
 from tpslab.structures import vector_to_structure_basis
-from oracles import TypeIIIProjection, computational_type_iii, identity_structure, kron
+from oracles import identity_structure, kron
 from conftest import force_route, haar_structure, max_mixed_spec, propagator, spy_routes, stream, teleport_setup
 
 
@@ -261,27 +260,11 @@ class TestTrajectory:
         )
         assert max(p.lemma1_trace_residual_max for p in rec) <= 1e-10
 
-    def test_non_type_i_specs_yield_nan_commutator(self):
-        s = identity_structure(2, 2)
-        state = stream(159).ginibre_ensemble(4, 4)
-        h = gue_hamiltonian(4, 160)
-        rec = trajectory(
-            state,
-            h,
-            TimeGrid(0.0, 1.0, 2),
-            s,
-            computational_type_iii(2),
-            s,
-            max_mixed_spec(2),
-        )
-        assert all(math.isnan(p.lemma2_defect) for p in rec)
-
 
 def public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b):
     """The per-point loop through the public functions, each validating its
     own input: the reference the shared-work trajectory must reproduce."""
     w, v = np.linalg.eigh((h.mat + h.mat.conj().T) / 2)
-    both_type_i = isinstance(spec_a, TypeIProjection) and isinstance(spec_b, TypeIProjection)
     points = []
     for t in grid.times():
         u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
@@ -291,14 +274,13 @@ def public_route_points(rho0, h, grid, s_a, spec_a, s_b, spec_b):
         rep_ba = cross_relevance_matrix(rho_t, s_b, spec_b, s_a)
         red_s = reduced_state(rho_t, s_a, "S")
         red_sp = reduced_state(rho_t, s_b, "S")
-        defect2 = commutator_defect(rho_t, s_a, spec_a, s_b, spec_b) if both_type_i else math.nan
         points.append(
             TrajectoryPoint(
                 t=float(t),
                 lemma1_a_to_b=rep_ab.trace_norm_defect,
                 lemma1_b_to_a=rep_ba.trace_norm_defect,
                 lemma1_trace_residual_max=max(rep_ab.trace_residual, rep_ba.trace_residual),
-                lemma2_defect=defect2,
+                lemma2_defect=commutator_defect(rho_t, s_a, spec_a, s_b, spec_b),
                 mi_a=mutual_information(rho_t, s_a),
                 mi_b=mutual_information(rho_t, s_b),
                 purity_s=purity(red_s),
@@ -320,12 +302,12 @@ def _nested_groupings():
     )
 
 
-def _non_nested_with_type_iii():
+def _non_nested_with_ginibre_references():
     return (
         structure_from_grouping(FOUR_QUBITS, (0, 1)),
-        computational_type_iii(4),
+        TypeIProjection(stream(164).ginibre_density(4, 4)),
         structure_from_grouping(FOUR_QUBITS, (1, 3)),
-        max_mixed_spec(4),
+        TypeIProjection(stream(165).ginibre_density(4, 4)),
     )
 
 
@@ -358,12 +340,11 @@ def _haar_and_grouping():
     )
 
 
-def _two_haar_with_type_iii():
-    # pinching in a Haar basis of E, so that no projector is real or diagonal
-    u = stream(173).haar_unitary(4)
+def _two_haar_with_ginibre_references():
+    # transition_matrix's two-dense branch; no reference is real or diagonal
     return (
         haar_structure(16, 4, 174),
-        TypeIIIProjection(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(4))),
+        TypeIProjection(stream(173).ginibre_density(4, 4)),
         haar_structure(16, 2, 175),
         TypeIProjection(stream(176).ginibre_density(8, 8)),
     )
@@ -380,19 +361,20 @@ def assert_points_close(got, want, tol):
 
 class TestTrajectoryMatchesPublicRoute:
     """Both trajectory kernels agree with the public functions to the
-    goldens' 1e-12: the grouping-pair closed forms (nested groupings) and
-    the A-basis lemma kernels (a type_iii spec, a Haar structure on either
-    side, Ginibre references on both sides, two Haar structures)."""
+    goldens' 1e-12: the grouping-pair closed forms (nested groupings, and
+    non-nested ones with Ginibre references) and the A-basis lemma kernels
+    (a Haar structure on either side, Ginibre references on both sides, two
+    Haar structures)."""
 
     @pytest.mark.parametrize(
         "setup",
         [
             _nested_groupings,
-            _non_nested_with_type_iii,
+            _non_nested_with_ginibre_references,
             _grouping_and_haar,
             _grouping_and_haar_with_ginibre_references,
             _haar_and_grouping,
-            _two_haar_with_type_iii,
+            _two_haar_with_ginibre_references,
         ],
     )
     def test_every_field_exactly_equal(self, setup):

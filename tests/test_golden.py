@@ -17,7 +17,6 @@ directory and move ``out/summary.json`` and ``out/series.csv`` up one level.
 
 import csv
 import json
-import math
 import shutil
 from pathlib import Path
 
@@ -47,8 +46,6 @@ def run_config(config: Path, out: Path) -> Path:
 
 
 def same_float(got: float, want: float) -> bool:
-    if math.isnan(want):
-        return math.isnan(got)
     return abs(got - want) <= FLOAT_RTOL * max(1.0, abs(want))
 
 
@@ -91,7 +88,7 @@ FORCED_ROUTE_EXCEPTIONS = {"dynamics-maximally-mixed": [], "dynamics-zero-h": ["
 @pytest.mark.parametrize("case", DYNAMICS_CASES)
 def test_dynamics_golden_on_both_propagation_routes(tmp_path, monkeypatch, case, chebyshev):
     # the route rule picks eigh at these small dimensions; force each route
-    assert len(DYNAMICS_CASES) == 6
+    assert len(DYNAMICS_CASES) == 7
     taken = force_route(monkeypatch, chebyshev)
     check_report(run(case, tmp_path / "out"), case)
     forced = ["_chebyshev_route" if chebyshev else "_eigh_route"]

@@ -6,12 +6,22 @@ from tpslab import (
     bell_pair,
     complement,
     maximally_mixed,
+    partial_trace,
     project,
     relevance_defect,
     schmidt,
+    to_structure_basis,
     trace_norm,
 )
-from oracles import TypeIIIProjection, TypeIIProjection, computational_type_iii, idempotency_defect, identity_structure, kron
+from oracles import (
+    TypeIIIProjection,
+    TypeIIProjection,
+    computational_type_iii,
+    idempotency_defect,
+    identity_structure,
+    kron,
+    project_terms,
+)
 from conftest import bell_density, haar_structure, stream, teleport_setup
 
 
@@ -39,6 +49,13 @@ def random_type_ii(dim_s, dim_e, seed, trial=0):
 def random_type_iii(dim_e, seed, trial=0):
     u = stream(seed, trial).haar_unitary(dim_e)
     return TypeIIIProjection(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(dim_e)))
+
+
+def terms_relevance_defect(rho, s, spec):
+    """:func:`relevance_defect` through the oracles' dense projection, which
+    every family runs."""
+    q_s = to_structure_basis(rho - project_terms(rho, s, spec), s)
+    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"))
 
 
 class TestTypeI:
@@ -114,7 +131,7 @@ class TestRelevanceDefect:
             s = haar_structure(dims[0] * dims[1], dims[0], 49, trial)
             spec = random_type_ii(dims[0], dims[1], 50, trial)
             rho = stream(51, trial).ginibre_density(dims[0] * dims[1], 2)
-            assert relevance_defect(rho, s, spec) <= 1e-10
+            assert terms_relevance_defect(rho, s, spec) <= 1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2)])
     def test_type_iii(self, dims):
@@ -122,7 +139,7 @@ class TestRelevanceDefect:
             s = haar_structure(dims[0] * dims[1], dims[0], 52, trial)
             spec = random_type_iii(dims[1], 53, trial)
             rho = stream(54, trial).ginibre_density(dims[0] * dims[1], dims[0] * dims[1])
-            assert relevance_defect(rho, s, spec) <= 1e-10
+            assert terms_relevance_defect(rho, s, spec) <= 1e-10
 
 
 class TestIdempotency:
@@ -164,12 +181,18 @@ class TestSuperoperatorProperties:
     def test_trace_preservation_all_families(self):
         s = haar_structure(4, 2, 64)
         rho = stream(65).ginibre_density(4, 4)
-        for spec in (
-            TypeIProjection(stream(66).ginibre_density(2, 2)),
-            random_type_ii(2, 2, 67),
-            random_type_iii(2, 68),
-        ):
-            assert abs(np.trace(project(rho, s, spec)) - 1.0) <= 1e-12
+        type_i = TypeIProjection(stream(66).ginibre_density(2, 2))
+        assert abs(np.trace(project(rho, s, type_i)) - 1.0) <= 1e-12
+        for spec in (type_i, random_type_ii(2, 2, 67), random_type_iii(2, 68)):
+            assert abs(np.trace(project_terms(rho, s, spec)) - 1.0) <= 1e-12
+
+    def test_terms_oracle_is_the_type_i_kernel(self):
+        # the oracles' dense projection sums type_i's one term with the
+        # kernel's operations in the kernel's order
+        s = haar_structure(8, 2, 73)
+        spec = TypeIProjection(stream(73, 1).ginibre_density(4, 4))
+        rho = stream(73, 2).ginibre_density(8, 3)
+        np.testing.assert_array_equal(project_terms(rho, s, spec), project(rho, s, spec))
 
     def test_project_plus_complement_is_identity(self):
         s = haar_structure(4, 2, 69)

@@ -7,20 +7,33 @@ from hypothesis import strategies as st
 
 from tpslab import (
     FactorLayout,
+    Hamiltonian,
+    RandomStream,
+    TimeGrid,
     TypeIProjection,
     bell_pair,
     commutator_defect,
+    complement,
     cross_relevance_matrix,
     defect_matrix_pure_coeffs,
-    from_structure_basis,
     maximally_mixed,
     mutual_information,
+    project,
     reduced_state,
+    relevance_defect,
     schmidt,
     structure_from_grouping,
     teleport_state,
+    trajectory,
 )
-from oracles import SeparableEnsemble, defect_matrix_mixed_coeffs, identity_structure, kron
+from oracles import (
+    SeparableEnsemble,
+    TypeIIProjection,
+    computational_type_iii,
+    defect_matrix_mixed_coeffs,
+    identity_structure,
+    kron,
+)
 from conftest import bell_density, haar_structure, max_mixed_spec, stream, teleport_setup
 
 
@@ -193,13 +206,35 @@ class TestCommutatorDefect:
         d_ba = commutator_defect(rho, s_b, spec_b, s_a, spec_a)
         assert abs(d_ab - d_ba) <= 1e-12
 
-    def test_rejects_other_families(self):
-        from oracles import computational_type_iii
 
-        s = identity_structure(2, 2)
-        rho = stream(120).ginibre_density(4, 4)
-        with pytest.raises(ValueError, match="type_i"):
-            commutator_defect(rho, s, computational_type_iii(2), s, max_mixed_spec(2))
+def _pinned_type_ii() -> TypeIIProjection:
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    return TypeIIProjection(((p0, p0), (p1, p1)))
+
+
+# every public function that takes a projection spec, given a state and the
+# spec under test as structure A's
+SPEC_TAKERS = {
+    "project": project,
+    "complement": complement,
+    "relevance_defect": relevance_defect,
+    "cross_relevance_matrix": lambda rho, s, spec: cross_relevance_matrix(rho, s, spec, s),
+    "commutator_defect": lambda rho, s, spec: commutator_defect(rho, s, spec, s, max_mixed_spec(2)),
+    "trajectory": lambda rho, s, spec: trajectory(
+        np.linalg.eigh(rho), Hamiltonian(RandomStream(121).gue(4)), TimeGrid(0.0, 1.0, 2), s, spec, s, max_mixed_spec(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", [_pinned_type_ii, lambda: computational_type_iii(2)], ids=["type_ii", "type_iii"])
+@pytest.mark.parametrize("name", list(SPEC_TAKERS))
+def test_rejects_other_families(name, family):
+    # the oracle families run through no kernel of the package: the one
+    # family check turns them away at the boundary
+    rho = stream(120).ginibre_density(4, 4)
+    with pytest.raises(ValueError, match="type_i") as excinfo:
+        SPEC_TAKERS[name](rho, identity_structure(2, 2), family())
+    assert excinfo.traceback[-1].name == "check_compatible"
 
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
