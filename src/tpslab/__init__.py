@@ -27,12 +27,7 @@ from .structures import (
     transition_matrix,
     write_matrix_file,
 )
-from .projections import (
-    TypeIProjection,
-    complement,
-    project,
-    relevance_defect,
-)
+from .projections import TypeIProjection, complement
 from .relativity import (
     DefectReport,
     bell_pair,

@@ -7,10 +7,12 @@ projected state carries exactly the information needed to reduce onto the
 split's system factor.
 
 type_i is the one rule the kernels here and in :mod:`relativity` know: in
-the structure's product basis, P m = Tr_E(m) (x) rho_ref.
-:func:`check_compatible` rejects any other spec at the boundary; the
-paper's type II and type III families are test oracles with their own
-dense rule.
+the structure's product basis, P m = Tr_E(m) (x) rho_ref, which
+:func:`_project_in_basis` forms for every scenario.  :func:`apply_projection`
+and :func:`complement` act in reference coordinates, on the dense route
+that no scenario takes.  :func:`check_compatible` rejects any other spec at
+the boundary; the paper's type II and type III families are test oracles
+with their own dense rule.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    _kron,
-    _partial_trace,
-    check_density_matrix,
-    partial_trace,
-    trace_norm,
-)
+from .linalg import _kron, _partial_trace, check_density_matrix
 from .structures import Structure, from_structure_basis, to_structure_basis
 
 
@@ -76,28 +72,8 @@ def _project_in_basis(m: np.ndarray, s: Structure, spec: TypeIProjection) -> np.
     return _kron(_partial_trace(m, s.dim_s, s.dim_e, "A"), spec.rho_ref)
 
 
-def project(rho, s: Structure, spec: TypeIProjection) -> np.ndarray:
-    """Relevant part of a state for the given split and family (unit trace)."""
-    rho = check_density_matrix(rho)
-    check_compatible(s, spec)
-    return apply_projection(rho, s, spec)
-
-
 def complement(rho, s: Structure, spec: TypeIProjection) -> np.ndarray:
     """Irrelevant part: the state minus its projection; traceless."""
     rho = check_density_matrix(rho)
     check_compatible(s, spec)
-    return _complement(rho, s, spec)
-
-
-def _complement(rho: np.ndarray, s: Structure, spec: TypeIProjection) -> np.ndarray:
-    """Trusted kernel of :func:`complement`: state and spec already checked."""
     return rho - apply_projection(rho, s, spec)
-
-
-def relevance_defect(rho, s: Structure, spec: TypeIProjection) -> float:
-    """Trace norm of the system reduction of the complement, taken in the
-    structure's own basis.  Zero (to tolerance) for every valid spec."""
-    q = complement(rho, s, spec)
-    q_s = to_structure_basis(q, s)
-    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"))

@@ -10,10 +10,11 @@ splits, and demonstrates the structure dependence of correlations via
 mutual information.
 
 The public functions take d x d states in reference coordinates; they are
-the dense route, and the tests' oracle.  The lemma sweeps and
-``trajectory`` run the trusted kernels of :func:`_lemma_terms` instead.
-These take a state's weighted vectors in one structure's product basis and
-form no d x d state: a projected state is one Kronecker product, which
+the dense route, and the tests' oracle.  No scenario runs them: every
+scenario runs trusted kernels on a state's weighted vectors, those of
+:func:`_lemma_terms` or, for two groupings of one layout, the closed forms
+of ``dynamics._GroupingPair``.  :func:`_lemma_terms` takes the vectors in
+one structure's product basis and forms no d x d state: a projected state is one Kronecker product, which
 changes basis and reduces through products with the transition matrix's
 rows (C. F. Van Loan, "The ubiquitous Kronecker product", J. Comput.
 Appl. Math. 123 (2000)).
@@ -37,7 +38,7 @@ from .linalg import (
     schmidt,
     trace_norm,
 )
-from .projections import TypeIProjection, _complement, apply_projection, check_compatible
+from .projections import TypeIProjection, apply_projection, check_compatible
 from .structures import (
     Structure,
     _check_total_dim,
@@ -91,7 +92,7 @@ def cross_relevance_matrix(
     """
     rho = check_density_matrix(rho)
     check_compatible(s_from, spec)
-    q = to_structure_basis(_complement(rho, s_from, spec), s_to)
+    q = to_structure_basis(rho - apply_projection(rho, s_from, spec), s_to)
     return _checked_report(_reduce(q, s_to, "S"), "cross_relevance_matrix")
 
 

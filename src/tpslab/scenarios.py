@@ -18,6 +18,13 @@ depend on the worker count (without numpy's bundled OpenBLAS, trials run
 in this process at its BLAS thread count).  ``teleport-check`` and
 ``dynamics-trace`` run in this process.
 
+``teleport-check``'s two structures are groupings of one layout, so it runs
+the closed forms of ``dynamics._GroupingPair``, as a grouping-pair
+``dynamics-trace`` does: the Lemma 2 value, which does not depend on the
+state and is checked once, before the trials, and both system reductions.
+The projection and the same-structure reduction come from
+``_project_in_basis`` on the state in A's product basis.
+
 A ``lemma1-sweep`` or ``lemma2-sweep`` checks its fixed structure/spec pair
 with ``check_compatible`` once, before the trials.  A trial validates its
 inputs once: the state, drawn as its eigen-ensemble, with
@@ -37,11 +44,12 @@ P_A rho||_1, which is that same trace norm, since P_A(P_A rho) - P_A rho =
 ``qcr-demo`` trial works in A's basis too, on rho_s (x) rho_e; it validates
 the two factors, not their product, and takes S(rho) = S(rho_s) +
 S(rho_e), with the entropy floor applied per factor.  So a sweep trial
-takes at most one d x d eigensolve, that of Lemma 2's commutator.  The
-public functions (``cross_relevance_matrix``, ``commutator_defect``,
-``mutual_information``) and the tests' ``idempotency_defect``, which
-projects by the test oracles' own dense rule, give the same rows to
-roundoff and serve as the tests' oracle.
+takes at most one d x d eigensolve, that of Lemma 2's commutator.
+
+No scenario runs the public dense route.  Its functions
+(``cross_relevance_matrix``, ``commutator_defect``, ``mutual_information``,
+``reduced_state``) and the tests' dense oracles give every scenario's rows
+to roundoff and serve as the tests' second route.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .dynamics import GENERATOR_NAME, RandomStream, mix_seed, trajectory
+from .dynamics import GENERATOR_NAME, RandomStream, _GroupingPair, mix_seed, trajectory
 from .linalg import (
     InvariantViolation,
     _checked_spectrum,
@@ -73,8 +81,6 @@ from .projections import (
     TypeIProjection,
     _project_in_basis,
     check_compatible,
-    project,
-    relevance_defect,
 )
 from .relativity import (
     TRACE_RESIDUAL_TOL,
@@ -84,7 +90,6 @@ from .relativity import (
     _lemma_terms,
     _split_mutual_information,
     bell_pair,
-    commutator_defect,
     teleport_state,
 )
 from .structures import (
@@ -92,7 +97,6 @@ from .structures import (
     _kron_rows,
     _reduce,
     _traced_rows,
-    reduced_state,
     structure_from_grouping,
     structure_from_unitary,
     transition_matrix,
@@ -205,6 +209,11 @@ def _teleport_check(cfg: ScenarioConfig):
     phi = bell_pair()
     spec_a = TypeIProjection(np.outer(phi, phi.conj()))
     spec_b = TypeIProjection(maximally_mixed(2))
+    check_compatible(s_a, spec_a)
+    check_compatible(s_b, spec_b)
+    pair = _GroupingPair(s_a.grouping, spec_a.rho_ref, s_b.grouping, spec_b.rho_ref)
+    if pair.lemma2 <= DEFECT_THRESHOLD:
+        raise InvariantViolation(f"teleport-check: commutator defect {pair.lemma2:.3e} unexpectedly small")
 
     header = [
         "trial",
@@ -221,25 +230,21 @@ def _teleport_check(cfg: ScenarioConfig):
     rows = []
     for trial in range(cfg.trials):
         u = cfg.input_qubit if trial == 0 else RandomStream(mix_seed(cfg.base_seed, trial)).haar_pure(2)
-        psi = teleport_state(u)
-        rho = np.outer(psi, psi.conj())
-        p_rho = project(rho, s_a, spec_a)
-        pur = purity(p_rho)
-        fixed_point_defect = trace_norm(p_rho - rho)
+        psi = teleport_state(u)[:, None]
+        _, _, defect2, (_, red_s), (_, red_sp) = pair.defects(psi)
+        y_a = vector_to_structure_basis(psi, s_a)
+        rho_a = y_a @ y_a.conj().T
+        p_rho = _project_in_basis(rho_a, s_a, spec_a)
+        fixed_point_defect = trace_norm(p_rho - rho_a)
         if fixed_point_defect > 1e-10:
             raise InvariantViolation(
                 f"teleport-check: projection onto the entangled-pair reference should leave"
                 f" the state invariant (defect {fixed_point_defect:.3e})"
             )
-        rel = relevance_defect(rho, s_a, spec_a)
-        defect2 = commutator_defect(rho, s_a, spec_a, s_b, spec_b)
-        if defect2 <= DEFECT_THRESHOLD:
-            raise InvariantViolation(
-                f"teleport-check: commutator defect {defect2:.3e} unexpectedly small"
-            )
-        ev12 = _descending(np.linalg.eigvalsh(reduced_state(rho, s_b, "S")))
-        ev1 = _descending(np.linalg.eigvalsh(reduced_state(rho, s_a, "S")))
-        rows.append([trial, pur, rel, defect2, *ev12, *ev1])
+        rel = trace_norm(_same_structure_reduction(y_a, s_a, spec_a))
+        ev12 = _descending(_checked_spectrum(red_sp, "reduced S' state")[1])
+        ev1 = _descending(_checked_spectrum(red_s, "reduced S state")[1])
+        rows.append([trial, purity(p_rho), rel, defect2, *ev12, *ev1])
 
     results = {
         "purity_P_rho": rows[0][1],

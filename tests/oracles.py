@@ -8,7 +8,8 @@ Hermiticity defect.  They build on ``tpslab``'s functions and kernels; no
 module under ``src/`` imports this one.  The package's projection kernels
 and ``trajectory`` know type_i only and reject any other spec, so a
 projection family here gives its rule as ``terms()``, and
-:func:`project_terms` sums them densely for every family, type_i included.
+:func:`project_terms` sums them densely for every family, type_i included;
+:func:`idempotency_defect` and :func:`terms_relevance_defect` project by it.
 """
 
 from __future__ import annotations
@@ -227,6 +228,14 @@ def idempotency_defect(rho, s: Structure, spec) -> float:
     """Trace norm of P(P rho) - P rho, for any family."""
     p1 = project_terms(check_density_matrix(rho), s, spec)
     return trace_norm(project_terms(p1, s, spec) - p1)
+
+
+def terms_relevance_defect(rho, s: Structure, spec) -> float:
+    """Trace norm of Tr_E(rho - P rho), taken in the structure's own basis,
+    for any family: zero up to roundoff.  The dense twin of
+    ``scenarios._same_structure_reduction``."""
+    q_s = to_structure_basis(rho - project_terms(rho, s, spec), s)
+    return trace_norm(_partial_trace(q_s, s.dim_s, s.dim_e, "A"))
 
 
 class SeparableEnsemble:

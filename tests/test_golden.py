@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpslab import read_matrix_file
+from tpslab import dynamics, read_matrix_file
 from tpslab.cli import main
-from conftest import force_route
+from conftest import force_route, spy_routes
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
@@ -79,16 +79,20 @@ def test_report_matches_golden(tmp_path, capsys, case):
 
 DYNAMICS_CASES = [case for case in CASES if case.startswith("dynamics-")]
 # The routes a forced run takes where it is not the forced one: a maximally
-# mixed state is not propagated, and the zero H's Lanczos interval, the
-# point [0, 0], fails its proof, so that run takes eigh.
-FORCED_ROUTE_EXCEPTIONS = {"dynamics-maximally-mixed": [], "dynamics-zero-h": ["_eigh_route"]}
+# mixed state is not propagated, and a zero H's Lanczos interval, the point
+# [0, 0], fails its proof, so that run takes eigh.
+FORCED_ROUTE_EXCEPTIONS = {
+    "dynamics-maximally-mixed": [],
+    "dynamics-zero-h": ["_eigh_route"],
+    "dynamics-zero-h-d64": ["_eigh_route"],
+}
 
 
 @pytest.mark.parametrize("chebyshev", [True, False], ids=["chebyshev", "eigh"])
 @pytest.mark.parametrize("case", DYNAMICS_CASES)
 def test_dynamics_golden_on_both_propagation_routes(tmp_path, monkeypatch, case, chebyshev):
-    # the route rule picks eigh at these small dimensions; force each route
-    assert len(DYNAMICS_CASES) == 7
+    # force each route, whichever the route rule picks
+    assert len(DYNAMICS_CASES) == 9
     taken = force_route(monkeypatch, chebyshev)
     check_report(run(case, tmp_path / "out"), case)
     forced = ["_chebyshev_route" if chebyshev else "_eigh_route"]
@@ -129,6 +133,24 @@ def test_teleport_check_has_the_analytic_values(tmp_path):
         assert float(row["purity_P_rho"]) == pytest.approx(1.0, abs=1e-12)
         spectrum = [float(row[f"rho12_ev{k}"]) for k in (1, 2, 3, 4)] + [float(row[f"rho1_ev{k}"]) for k in (1, 2)]
         assert spectrum == pytest.approx([0.5, 0.5, 0.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, taken",
+    [("dynamics-zero-h-d64", ["_eigh_route"]), ("dynamics-negative-time", ["_chebyshev_route"])],
+)
+def test_the_route_rule_runs_the_interval_proof(tmp_path, monkeypatch, case, taken):
+    # at these dimensions the rule asks for a Lanczos interval: the zero H's
+    # interval [0, 0] fails its proof and the run takes eigh; the GUE H's
+    # holds, and the series runs at negative times too
+    lanczos, proofs = [], []
+    interval, holds = dynamics._lanczos_interval, dynamics._holds_spectrum
+    monkeypatch.setattr(dynamics, "_lanczos_interval", lambda h: lanczos.append(interval(h)) or lanczos[-1])
+    monkeypatch.setattr(dynamics, "_holds_spectrum", lambda *args: proofs.append(holds(*args)) or proofs[-1])
+    routes = spy_routes(monkeypatch)
+    check_report(run(case, tmp_path / "out"), case)
+    assert len(lanczos) == 1 and proofs == [taken == ["_chebyshev_route"]]
+    assert routes == taken
 
 
 def test_dynamics_rho_ref_lemma2_is_the_closed_form(tmp_path):

@@ -5,14 +5,16 @@ from tpslab import (
     TypeIProjection,
     bell_pair,
     complement,
+    eigh,
+    from_structure_basis,
     maximally_mixed,
-    partial_trace,
-    project,
-    relevance_defect,
     schmidt,
     to_structure_basis,
     trace_norm,
 )
+from tpslab.projections import _project_in_basis, check_compatible
+from tpslab.scenarios import _same_structure_reduction
+from tpslab.structures import vector_to_structure_basis
 from oracles import (
     TypeIIIProjection,
     TypeIIProjection,
@@ -21,6 +23,7 @@ from oracles import (
     identity_structure,
     kron,
     project_terms,
+    terms_relevance_defect,
 )
 from conftest import bell_density, haar_structure, stream, teleport_setup
 
@@ -51,33 +54,35 @@ def random_type_iii(dim_e, seed, trial=0):
     return TypeIIIProjection(tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(dim_e)))
 
 
-def terms_relevance_defect(rho, s, spec):
-    """:func:`relevance_defect` through the oracles' dense projection, which
-    every family runs."""
-    q_s = to_structure_basis(rho - project_terms(rho, s, spec), s)
-    return trace_norm(partial_trace(q_s, s.dim_s, s.dim_e, "A"))
+def kernel_projection(rho, s, spec):
+    """P rho by the projection kernel the scenarios run,
+    ``_project_in_basis``, on rho in the structure's product basis; returned
+    in reference coordinates."""
+    return from_structure_basis(_project_in_basis(to_structure_basis(rho, s), s, spec), s)
 
 
 class TestTypeI:
+    # each structure here has the reference basis as its product basis
     def test_product_state_fixed_point(self):
         s = identity_structure(2, 2)
         rho_s = stream(40).ginibre_density(2, 2)
         rho_e = stream(40, 1).ginibre_density(2, 2)
         rho = kron(rho_s, rho_e)
-        got = project(rho, s, TypeIProjection(rho_e))
+        got = _project_in_basis(rho, s, TypeIProjection(rho_e))
         np.testing.assert_allclose(got, rho, atol=1e-12)
 
     def test_teleport_state_projects_to_itself(self):
         _, s_a, _, _, rho = teleport_setup(stream(41).haar_pure(2))
         phi = bell_pair()
         spec = TypeIProjection(np.outer(phi, phi.conj()))
-        np.testing.assert_allclose(project(rho, s_a, spec), rho, atol=1e-12)
+        np.testing.assert_array_equal(to_structure_basis(rho, s_a), rho)
+        np.testing.assert_allclose(_project_in_basis(rho, s_a, spec), rho, atol=1e-12)
 
     def test_bell_state_with_ground_reference(self):
         s = identity_structure(2, 2)
         ground = np.zeros((2, 2), dtype=complex)
         ground[0, 0] = 1.0
-        got = project(bell_density(), s, TypeIProjection(ground))
+        got = _project_in_basis(bell_density(), s, TypeIProjection(ground))
         np.testing.assert_allclose(got, kron(maximally_mixed(2), ground), atol=1e-13)
 
 
@@ -123,7 +128,12 @@ class TestRelevanceDefect:
             s = haar_structure(dims[0] * dims[1], dims[0], 46, trial)
             spec = TypeIProjection(stream(47, trial).ginibre_density(dims[1], dims[1]))
             rho = stream(48, trial).ginibre_density(dims[0] * dims[1], dims[0] * dims[1])
-            assert relevance_defect(rho, s, spec) <= 1e-10
+            # the state as its weighted vectors in the structure's basis
+            weights, vectors = eigh(rho)
+            y = vector_to_structure_basis(vectors, s) * np.sqrt(np.clip(weights, 0.0, None))
+            got = trace_norm(_same_structure_reduction(y, s, spec))
+            assert got <= 1e-10
+            assert abs(got - terms_relevance_defect(rho, s, spec)) <= 1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2), (4, 2), (2, 4)])
     def test_type_ii(self, dims):
@@ -175,14 +185,14 @@ class TestSuperoperatorProperties:
         rho1 = stream(63).ginibre_density(4, 4)
         rho2 = stream(63, 1).ginibre_density(4, 2)
         mixed = alpha * rho1 + (1 - alpha) * rho2
-        combo = alpha * project(rho1, s, spec) + (1 - alpha) * project(rho2, s, spec)
-        np.testing.assert_allclose(project(mixed, s, spec), combo, atol=1e-12)
+        combo = alpha * kernel_projection(rho1, s, spec) + (1 - alpha) * kernel_projection(rho2, s, spec)
+        np.testing.assert_allclose(kernel_projection(mixed, s, spec), combo, atol=1e-12)
 
     def test_trace_preservation_all_families(self):
         s = haar_structure(4, 2, 64)
         rho = stream(65).ginibre_density(4, 4)
         type_i = TypeIProjection(stream(66).ginibre_density(2, 2))
-        assert abs(np.trace(project(rho, s, type_i)) - 1.0) <= 1e-12
+        assert abs(np.trace(kernel_projection(rho, s, type_i)) - 1.0) <= 1e-12
         for spec in (type_i, random_type_ii(2, 2, 67), random_type_iii(2, 68)):
             assert abs(np.trace(project_terms(rho, s, spec)) - 1.0) <= 1e-12
 
@@ -192,14 +202,14 @@ class TestSuperoperatorProperties:
         s = haar_structure(8, 2, 73)
         spec = TypeIProjection(stream(73, 1).ginibre_density(4, 4))
         rho = stream(73, 2).ginibre_density(8, 3)
-        np.testing.assert_array_equal(project_terms(rho, s, spec), project(rho, s, spec))
+        np.testing.assert_array_equal(project_terms(rho, s, spec), kernel_projection(rho, s, spec))
 
     def test_project_plus_complement_is_identity(self):
         s = haar_structure(4, 2, 69)
         spec = TypeIProjection(maximally_mixed(2))
         rho = stream(70).ginibre_density(4, 4)
         np.testing.assert_allclose(
-            project(rho, s, spec) + complement(rho, s, spec), rho, atol=0
+            kernel_projection(rho, s, spec) + complement(rho, s, spec), rho, atol=0
         )
 
 
@@ -258,4 +268,4 @@ class TestConstructorValidation:
     def test_spec_structure_dim_mismatch(self):
         s = identity_structure(2, 3)
         with pytest.raises(ValueError, match="does not match structure"):
-            project(stream(71).ginibre_density(6, 6), s, TypeIProjection(maximally_mixed(2)))
+            check_compatible(s, TypeIProjection(maximally_mixed(2)))

@@ -18,14 +18,13 @@ from tpslab import (
     defect_matrix_pure_coeffs,
     maximally_mixed,
     mutual_information,
-    project,
     reduced_state,
-    relevance_defect,
     schmidt,
     structure_from_grouping,
     teleport_state,
     trajectory,
 )
+from tpslab.projections import check_compatible
 from oracles import (
     SeparableEnsemble,
     TypeIIProjection,
@@ -212,12 +211,11 @@ def _pinned_type_ii() -> TypeIIProjection:
     return TypeIIProjection(((p0, p0), (p1, p1)))
 
 
-# every public function that takes a projection spec, given a state and the
-# spec under test as structure A's
+# the family check itself, and every public function that takes a
+# projection spec, given a state and the spec under test as structure A's
 SPEC_TAKERS = {
-    "project": project,
+    "check_compatible": lambda rho, s, spec: check_compatible(s, spec),
     "complement": complement,
-    "relevance_defect": relevance_defect,
     "cross_relevance_matrix": lambda rho, s, spec: cross_relevance_matrix(rho, s, spec, s),
     "commutator_defect": lambda rho, s, spec: commutator_defect(rho, s, spec, s, max_mixed_spec(2)),
     "trajectory": lambda rho, s, spec: trajectory(

@@ -1,5 +1,5 @@
 """Sweep trials in worker processes against the same trials in-process, and
-the sweeps' trial paths against the public dense route."""
+the scenarios' trial paths against the public dense route."""
 
 import dataclasses
 import functools
@@ -17,12 +17,16 @@ from tpslab import (
     FactorLayout,
     InvariantViolation,
     RandomStream,
+    TypeIProjection,
+    bell_pair,
     commutator_defect,
     cross_relevance_matrix,
     from_structure_basis,
     load_config,
     mix_seed,
     mutual_information,
+    purity,
+    reduced_state,
     relativity,
     scenarios,
     structure_from_grouping,
@@ -30,7 +34,8 @@ from tpslab import (
     write_matrix_file,
 )
 from tpslab.cli import main
-from oracles import dense_unitary, idempotency_defect, kron
+from oracles import dense_unitary, idempotency_defect, kron, project_terms, terms_relevance_defect
+from conftest import max_mixed_spec, teleport_setup
 
 MAP_TRIALS = scenarios._map_trials
 BLAS = scenarios._openblas_thread_api()
@@ -368,3 +373,39 @@ def test_qcr_rows_equal_the_public_dense_route(oracle_configs, case, base_seed, 
     assert got[0] == want[0]
     for g, w in zip(got[1:], want[1:]):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (got, want)
+
+
+def dense_teleport_row(trial: int, u) -> list:
+    """A teleport-check row for the input qubit ``u`` from the dense route:
+    the oracles' projection and relevance defect, ``commutator_defect``, and
+    the spectra of ``reduced_state``, on rho in reference coordinates."""
+    _, s_a, s_b, _, rho = teleport_setup(u)
+    phi = bell_pair()
+    spec_a = TypeIProjection(np.outer(phi, phi.conj()))
+    spectra = [sorted(np.linalg.eigvalsh(reduced_state(rho, s, "S")), reverse=True) for s in (s_b, s_a)]
+    return [
+        trial,
+        purity(project_terms(rho, s_a, spec_a)),
+        terms_relevance_defect(rho, s_a, spec_a),
+        commutator_defect(rho, s_a, spec_a, s_b, max_mixed_spec(2)),
+        *spectra[0],
+        *spectra[1],
+    ]
+
+
+@pytest.mark.parametrize("input_qubit", [[1, 0], [0, 1]], ids=["0", "1"])
+def test_teleport_rows_equal_the_dense_route(tmp_path, input_qubit):
+    # trial 0 takes the input qubit, trials 1-6 Haar qubits of the base seed
+    config = tmp_path / "teleport.json"
+    cfg = {"version": 1, "scenario": "teleport-check", "base_seed": 23, "output_dir": "out", "trials": 7,
+           "input_qubit": [[x, 0.0] for x in input_qubit]}
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    cfg = load_config(config)
+    np.testing.assert_array_equal(cfg.input_qubit, input_qubit)
+    _, header, rows = scenarios._teleport_check(cfg)
+    assert len(header) == 10 and len(rows) == 7
+    for trial, row in enumerate(rows):
+        u = cfg.input_qubit if trial == 0 else RandomStream(mix_seed(cfg.base_seed, trial)).haar_pure(2)
+        want = dense_teleport_row(trial, u)
+        assert row[0] == want[0]
+        assert np.abs(np.subtract(row[1:], want[1:])).max() <= 1e-14, (row, want)

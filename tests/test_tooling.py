@@ -119,6 +119,52 @@ def test_no_oracle_is_also_defined_in_src():
     assert offenders == []
 
 
+# The public dense route: functions on d x d states in reference
+# coordinates, which the tests hold as the second route to every report.
+DENSE_ROUTE = {
+    "apply_projection",
+    "complement",
+    "commutator_defect",
+    "cross_relevance_matrix",
+    "mutual_information",
+    "reduced_state",
+    "to_structure_basis",
+    "from_structure_basis",
+    "partial_trace",
+}
+
+
+def dense_route_uses(source: str, filename: str = "<source>") -> list[str]:
+    """The dense-route names that ``source`` imports or reads as a module
+    attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(alias.name for alias in node.names if alias.name in DENSE_ROUTE)
+        elif isinstance(node, ast.Attribute) and node.attr in DENSE_ROUTE:
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .structures import reduced_state",
+        "from .relativity import (\n    bell_pair,\n    commutator_defect,\n)\n",
+        "from . import structures\ndef f(m, s):\n    return structures.to_structure_basis(m, s)\n",
+    ],
+)
+def test_dense_route_uses_are_found(source):
+    assert dense_route_uses(source)
+
+
+def test_scenarios_take_no_dense_route():
+    # every scenario runs the trusted kernels; the dense route is the tests'
+    # second route, and a scenario that ran it would check nothing twice
+    path = ROOT / "src" / "tpslab" / "scenarios.py"
+    assert dense_route_uses(path.read_text(encoding="utf-8"), str(path)) == []
+
+
 def load_tool(name: str):
     """A script under tools/ as a module; its main() is not run."""
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
@@ -227,6 +273,13 @@ NOT_RUN_BY_THE_CLI = {
     "relativity.defect_matrix_pure_coeffs": "perfbench/gate.py's correctness pass imports it",
     "linalg.schmidt": "defect_matrix_pure_coeffs takes its Schmidt data",
     "linalg.SchmidtDecomposition.rank": "defect_matrix_pure_coeffs takes its Schmidt rank",
+    "projections.apply_projection": "perfbench/layers.py traces it",
+    "projections.complement": "perfbench/layers.py traces it",
+    "relativity.commutator_defect": "perfbench/layers.py traces it",
+    "structures.reduced_state": "perfbench/layers.py traces it",
+    "structures.to_structure_basis": "perfbench/layers.py traces it",
+    "structures.from_structure_basis": "perfbench/layers.py traces it",
+    "linalg.partial_trace": "perfbench/layers.py traces it",
 }
 SWEEPS = ("lemma1-sweep", "lemma2-sweep", "qcr-demo")
 
