@@ -22,8 +22,8 @@ in this process at its BLAS thread count).  ``teleport-check`` and
 the closed forms of ``dynamics._GroupingPair``, as a grouping-pair
 ``dynamics-trace`` does: the Lemma 2 value, which does not depend on the
 state and is checked once, before the trials, and both system reductions.
-The projection and the same-structure reduction come from
-``_project_in_basis`` on the state in A's product basis.
+The projection and the same-structure reduction come from one
+``_project_in_basis`` of the state in A's product basis.
 
 A ``lemma1-sweep`` or ``lemma2-sweep`` checks its fixed structure/spec pair
 with ``check_compatible`` once, before the trials.  A trial validates its
@@ -241,7 +241,7 @@ def _teleport_check(cfg: ScenarioConfig):
                 f"teleport-check: projection onto the entangled-pair reference should leave"
                 f" the state invariant (defect {fixed_point_defect:.3e})"
             )
-        rel = trace_norm(_same_structure_reduction(y_a, s_a, spec_a))
+        rel = trace_norm(_reduce(rho_a - p_rho, s_a, "S"))
         ev12 = _descending(_checked_spectrum(red_sp, "reduced S' state")[1])
         ev1 = _descending(_checked_spectrum(red_s, "reduced S state")[1])
         rows.append([trial, purity(p_rho), rel, defect2, *ev12, *ev1])

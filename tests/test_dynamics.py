@@ -350,6 +350,17 @@ def _two_haar_with_ginibre_references():
     )
 
 
+def _two_layouts_with_ginibre_references():
+    # two groupings of different layouts of one dimension: _BasisPair on
+    # transition_matrix's two-grouping branch
+    return (
+        structure_from_grouping(FactorLayout((4, 4)), (0,)),
+        TypeIProjection(stream(186).ginibre_density(4, 4)),
+        structure_from_grouping(FOUR_QUBITS, (0, 2)),
+        TypeIProjection(stream(187).ginibre_density(4, 4)),
+    )
+
+
 def assert_points_close(got, want, tol):
     """Every field equal within ``tol * max(1, |want|)``, the golden reports'
     tolerance."""
@@ -364,7 +375,7 @@ class TestTrajectoryMatchesPublicRoute:
     goldens' 1e-12: the grouping-pair closed forms (nested groupings, and
     non-nested ones with Ginibre references) and the A-basis lemma kernels
     (a Haar structure on either side, Ginibre references on both sides, two
-    Haar structures)."""
+    Haar structures, two groupings of different layouts)."""
 
     @pytest.mark.parametrize(
         "setup",
@@ -375,6 +386,7 @@ class TestTrajectoryMatchesPublicRoute:
             _grouping_and_haar_with_ginibre_references,
             _haar_and_grouping,
             _two_haar_with_ginibre_references,
+            _two_layouts_with_ginibre_references,
         ],
     )
     def test_every_field_exactly_equal(self, setup):

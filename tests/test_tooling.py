@@ -2,7 +2,6 @@
 
 import ast
 import copy
-import functools
 import importlib.util
 import json
 import sys
@@ -166,10 +165,13 @@ def test_scenarios_take_no_dense_route():
 
 
 def load_tool(name: str):
-    """A script under tools/ as a module; its main() is not run."""
+    """A script under tools/ as a module, loaded with tools/ on the path, as
+    when it runs; its main() is not run."""
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "tools"))
+        spec.loader.exec_module(module)
     return module
 
 
@@ -281,31 +283,16 @@ NOT_RUN_BY_THE_CLI = {
     "structures.from_structure_basis": "perfbench/layers.py traces it",
     "linalg.partial_trace": "perfbench/layers.py traces it",
 }
-SWEEPS = ("lemma1-sweep", "lemma2-sweep", "qcr-demo")
 
 
-def defined_functions(package: Path) -> dict[tuple[str, int], str]:
-    """``(file, first line) -> "module.qualname"`` of every function and
-    method defined in ``package``'s modules.  The first line is that of the
-    first decorator, if any, as in the function's ``co_firstlineno``."""
-    found = {}
-
-    def visit(node, path: Path, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, path, f"{prefix}{child.name}.")
-
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path, "")
-    return found
-
-
-def test_decorated_functions_start_at_their_first_decorator(tmp_path):
-    (tmp_path / "m.py").write_text("class C:\n    @property\n    @staticmethod\n    def f():\n        pass\n", encoding="utf-8")
-    assert defined_functions(tmp_path) == {(str(tmp_path / "m.py"), 2): "m.C.f"}
+@pytest.fixture(scope="module")
+def report_trace(tmp_path_factory):
+    """tools/line_trace.py's one traced pass over every report config."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        trace = load_tool("line_trace").trace_report_configs(tmp_path_factory.mktemp("report-configs"))
+    assert trace.failed == []
+    return trace
 
 
 def test_line_trace_names_each_line_by_its_innermost_function(tmp_path):
@@ -315,43 +302,36 @@ def test_line_trace_names_each_line_by_its_innermost_function(tmp_path):
     assert (lines[1], lines[4], lines[5], lines[7]) == ("<module>", "C.f", "C.f.<locals>.<lambda>", "C")
 
 
-def test_every_src_function_runs_under_the_cli(tmp_path, monkeypatch):
-    # validate, then run, the golden configs and variant 0 of each benchmark
-    # workload, with the sweep trials in this process, and record every
-    # Python function entered
-    import tpslab
-    from tpslab import scenarios
-    from tpslab.cli import main
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
+def test_line_trace_names_each_code_object_as_python_does():
+    line_trace = load_tool("line_trace")
+    paths = sorted(line_trace.PACKAGE.glob("*.py"))
+    names = [(code.co_qualname, name) for path in paths for code, name, _ in line_trace.code_objects(path)]
+    assert len(names) > 100
+    assert [(want, got) for want, got in names if want != got] == []
 
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import workloads
 
-    configs = sorted((ROOT / "tests" / "golden").glob("*/config.json"))
-    for name in workloads.WORKLOADS:
-        configs += workloads.write_inputs(name, 0, tmp_path / "inputs" / name).values()
-    monkeypatch.setattr(scenarios, "_map_trials", functools.partial(scenarios._map_trials, workers=1))
-    # an earlier test may have filled the cache, and a cached call enters no
-    # Python function
-    scenarios._openblas_thread_api.cache_clear()
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for i, config in enumerate(configs):
-            trials = ["--trials", "4"] if json.loads(config.read_text(encoding="utf-8"))["scenario"] in SWEEPS else []
-            assert main(["validate", str(config)]) == 0, config
-            assert main(["run", str(config), "--output-dir", str(tmp_path / str(i)), *trials]) == 0, config
-    finally:
-        sys.setprofile(previous)
-
-    package = Path(tpslab.__file__).resolve().parent
-    defined = defined_functions(package)
-    called = {defined.get((str(Path(file).resolve()), line)) for file, line in entered} - {None}
-    assert sorted(set(defined.values()) - called - NOT_RUN_BY_THE_CLI.keys()) == []
+def test_every_src_function_runs_under_the_cli(report_trace):
+    never_entered = report_trace.never_entered()
+    assert sorted(never_entered - NOT_RUN_BY_THE_CLI.keys()) == []
     # an entry whose function is gone, or now runs, goes too
-    assert sorted(NOT_RUN_BY_THE_CLI.keys() - (set(defined.values()) - called)) == []
+    assert sorted(NOT_RUN_BY_THE_CLI.keys() - never_entered) == []
+
+
+# The trusted kernels: the projection and Lemma kernels, the grouping-pair
+# closed forms, the same-structure control, and the propagation interval
+# with its proof and series coefficients.
+KERNELS = (
+    "_project_in_basis", "_cross_reduction", "_vector_reduction", "_kron_rows", "_GroupingPair.defects", "_cross_defect",
+    "_diagonal_blocks", "_same_structure_reduction", "_lanczos_interval", "_holds_spectrum", "_positive_definite",
+    "_chebyshev_coefficients",
+)
+
+
+def test_every_kernel_line_runs_under_the_cli(report_trace):
+    # an unrun line is a branch that only the tests take, back in a kernel
+    line_trace = load_tool("line_trace")
+    names = {name for path in line_trace.PACKAGE.glob("*.py") for name in line_trace.executable_lines(path).values()}
+    assert set(KERNELS) <= names
+    unrun = report_trace.unrun_lines()
+    assert [f"{path}:{line} {name}" for path, line, name in unrun if name.split(".<locals>.")[0] in KERNELS] == []
