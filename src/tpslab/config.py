@@ -46,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Hamiltonian, RandomStream, TimeGrid
-from .linalg import PURE_NORM_TOL, maximally_mixed
-from .projections import TypeIProjection
+from .linalg import PURE_NORM_TOL, _require_within, maximally_mixed
+from .projections import TypeIProjection, check_compatible
 from .relativity import teleport_state
 from .structures import (
     FactorLayout,
@@ -257,12 +257,9 @@ def _parse_projection(obj, name: str, v: dict, base_dir: Path):
     s = v[name.replace("projection", "structure")]
     if ref == _MAXIMALLY_MIXED:
         return TypeIProjection(maximally_mixed(s.dim_e)), obj
-    m = _read_square_matrix(ref, f"{name}.rho_ref", base_dir)
-    if m.shape[0] != s.dim_e:
-        raise ConfigError(
-            f"{name}.rho_ref: dim {m.shape[0]} does not match environment dim {s.dim_e}"
-        )
-    return TypeIProjection(m), obj
+    spec = TypeIProjection(_read_square_matrix(ref, f"{name}.rho_ref", base_dir))
+    check_compatible(s, spec)
+    return spec, obj
 
 
 def _parse_hamiltonian(obj, name: str, v: dict, base_dir: Path):
@@ -305,8 +302,7 @@ def _parse_qubit(obj, name: str, v: dict, base_dir: Path):
         amps.append(complex(_require_number(pair[0], f"{name}[{i}][0]"), _require_number(pair[1], f"{name}[{i}][1]")))
     vec = np.asarray(amps, dtype=np.complex128)
     norm2 = float(np.vdot(vec, vec).real)
-    if abs(norm2 - 1.0) > PURE_NORM_TOL:
-        raise ConfigError(f"{name}: not normalized (||u||^2 = {norm2:.15g})")
+    _require_within(abs(norm2 - 1.0), PURE_NORM_TOL, ConfigError, f"{name}: not normalized: | ||u||^2 - 1 |")
     return vec, [[float(a.real), float(a.imag)] for a in vec]
 
 

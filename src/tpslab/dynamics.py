@@ -44,6 +44,7 @@ from .linalg import (
     _checked_hermitian,
     _orthonormality_defect,
     _phases,
+    _require_within,
     _spectral_entropy,
     check_ensemble,
     purity,
@@ -463,16 +464,12 @@ def _evolved_vectors(weights: np.ndarray, vectors: np.ndarray, h: np.ndarray, gr
             route = _chebyshev_route(vectors, h, times, (lo, hi))
     if route is None:
         route = _eigh_route(vectors, h, times)
-    return (_checked_orthonormal(psi_t, t) for t, psi_t in zip(times, route))
+    return (_checked_orthonormal(psi_t) for psi_t in route)
 
 
-def _checked_orthonormal(psi_t: np.ndarray, t: float) -> np.ndarray:
-    defect = _orthonormality_defect(psi_t)
-    if defect > UNITARITY_TOL:
-        raise InvariantViolation(
-            f"trajectory: evolved vectors are not orthonormal at t={float(t):.6g}"
-            f" (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
-        )
+def _checked_orthonormal(psi_t: np.ndarray) -> np.ndarray:
+    what = "trajectory: evolved vectors are not orthonormal: defect"
+    _require_within(_orthonormality_defect(psi_t), UNITARITY_TOL, InvariantViolation, what)
     return psi_t
 
 

@@ -27,6 +27,17 @@ class InvariantViolation(RuntimeError):
     """An identity that must hold by construction was numerically breached."""
 
 
+def _require_within(value: float, tol: float, error: type[Exception], what: str) -> float:
+    """The one tolerance check: return ``value`` when ``value <= tol``, else
+    raise ``error`` naming ``what``, the value and the tolerance.  NaN fails
+    the comparison, so a measurement that overflowed is rejected, never
+    passed.  ``what`` holds no formatted number: a check that passes formats
+    nothing."""
+    if value <= tol:
+        return value
+    raise error(f"{what} = {value:.3e}, not within {tol:g}")
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
     out = np.asarray(m, dtype=np.complex128)
@@ -65,13 +76,14 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     depend on the block size."""
     rows = max(1, _HERMITICITY_BLOCK_BYTES // (16 * max(1, m.shape[1])))
     scale = distance = 0.0
-    for start in range(0, m.shape[0], rows):
-        block = m[start : start + rows]
-        scale = max(scale, float(np.abs(block).max()))
-        distance = max(distance, float(np.abs(block - m[:, start : start + rows].conj().T).max()))
-    if scale == 0.0:
-        return 0.0
-    return distance / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow measures inf or NaN
+        for start in range(0, m.shape[0], rows):
+            block = m[start : start + rows]
+            scale = max(scale, float(np.abs(block).max()))
+            distance = max(distance, float(np.abs(block - m[:, start : start + rows].conj().T).max()))
+        if scale == 0.0:
+            return 0.0
+        return distance / scale
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
@@ -82,10 +94,7 @@ def _checked_hermitian(m, name: str) -> tuple[np.ndarray, float]:
     """:func:`require_hermitian` that also returns the relative defect, which
     is 0 exactly when the matrix equals its adjoint."""
     m = require_square(m, name)
-    defect = _hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"{name}: not Hermitian (relative defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
-    return m, defect
+    return m, _require_within(_hermiticity_defect(m), HERMITICITY_TOL, ValueError, f"{name}: not Hermitian: relative defect")
 
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
@@ -103,12 +112,11 @@ def _checked_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
     """Validate Hermiticity, unit trace and positivity; return the array and
     its ascending spectrum, which callers reuse instead of recomputing it."""
     rho = require_hermitian(rho, name=name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name}: trace is {tr:.12g}, expected 1 within {TRACE_TOL:.0e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow measures inf or NaN
+        tr = complex(np.trace(rho))
+    _require_within(abs(tr - 1.0), TRACE_TOL, ValueError, f"{name}: trace is not 1: |tr - 1|")
     w = _hermitian_spectrum(rho)
-    if w[0] < PSD_FLOOR:
-        raise ValueError(f"{name}: not positive semidefinite (min eigenvalue {w[0]:.3e})")
+    _require_within(-w[0], -PSD_FLOOR, ValueError, f"{name}: not positive semidefinite: -min eigenvalue")
     return rho, w
 
 
@@ -121,14 +129,14 @@ def check_pure_state(psi, name: str = "psi") -> np.ndarray:
     """Validate normalization of a state vector; return the array."""
     psi = as_vector(psi, name)
     norm2 = float(np.vdot(psi, psi).real)
-    if abs(norm2 - 1.0) > PURE_NORM_TOL:
-        raise ValueError(f"{name}: not normalized (||psi||^2 = {norm2:.15g})")
+    _require_within(abs(norm2 - 1.0), PURE_NORM_TOL, ValueError, f"{name}: not normalized: | ||psi||^2 - 1 |")
     return psi
 
 
 def _orthonormality_defect(v: np.ndarray) -> float:
     """Frobenius norm of ``V^H V - I`` for the columns of ``v``."""
-    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow measures inf or NaN
+        return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
 
 
 def check_ensemble(weights, vectors, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +148,11 @@ def check_ensemble(weights, vectors, name: str = "state") -> tuple[np.ndarray, n
         raise ValueError(f"{name}: weights must be a nonempty 1-D array")
     if not np.all(np.isfinite(p)) or np.any(p <= 0):
         raise ValueError(f"{name}: weights must be positive and finite")
-    total = float(p.sum())
-    if abs(total - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name}: weights sum to {total:.12g}, expected 1 within {TRACE_TOL:.0e}")
+    _require_within(abs(float(p.sum()) - 1.0), TRACE_TOL, ValueError, f"{name}: weights sum to 1 + e, |e|")
     psi = as_matrix(vectors, f"{name} vectors")
     if psi.shape[1] != p.size:
         raise ValueError(f"{name}: {psi.shape[1]} vectors for {p.size} weights")
-    defect = _orthonormality_defect(psi)
-    if defect > UNITARITY_TOL:
-        raise ValueError(f"{name}: vectors are not orthonormal (defect {defect:.3e} > {UNITARITY_TOL:.0e})")
+    _require_within(_orthonormality_defect(psi), UNITARITY_TOL, ValueError, f"{name}: vectors are not orthonormal: defect")
     return p, psi
 
 

@@ -31,6 +31,7 @@ from .linalg import (
     InvariantViolation,
     _checked_spectrum,
     _kron,
+    _require_within,
     _spectral_entropy,
     check_density_matrix,
     check_pure_state,
@@ -67,11 +68,7 @@ class DefectReport:
 
 
 def _checked_report(d: np.ndarray, context: str) -> DefectReport:
-    residual = float(abs(np.trace(d)))
-    if residual > TRACE_RESIDUAL_TOL:
-        raise InvariantViolation(
-            f"{context}: trace residual {residual:.3e} exceeds {TRACE_RESIDUAL_TOL:.0e}"
-        )
+    residual = _require_within(float(abs(np.trace(d))), TRACE_RESIDUAL_TOL, InvariantViolation, f"{context}: trace residual")
     return DefectReport(
         defect_matrix=d,
         trace_norm_defect=trace_norm(d),
@@ -133,28 +130,16 @@ def defect_matrix_pure_coeffs(
     # overlap of each Schmidt environment vector with each reference eigenvector
     overlap = (ref_vecs.conj().T @ right).T  # shape (rank, de_from)
     row_norms = np.abs(overlap) ** 2 @ np.ones(de_from)
-    if float(np.abs(row_norms - 1.0).max()) > 1e-10:
-        raise InvariantViolation(
-            "defect_matrix_pure_coeffs: environment expansion rows are not normalized"
-            f" (max defect {float(np.abs(row_norms - 1.0).max()):.3e})"
-        )
+    what = "defect_matrix_pure_coeffs: environment expansion rows are not normalized: max defect"
+    _require_within(float(np.abs(row_norms - 1.0).max()), 1e-10, InvariantViolation, what)
 
     t = transition_matrix(s_from, s_to)
-    dmats = np.empty((rank, de_from, ds_to, de_to), dtype=np.complex128)
-    for i in range(rank):
-        for a in range(de_from):
-            vec = t @ np.kron(left[:, i], ref_vecs[:, a])
-            dmats[i, a] = vec.reshape(ds_to, de_to)
-
     lam = np.zeros((ds_to, de_to), dtype=np.complex128)
-    for i in range(rank):
-        for a in range(de_from):
-            lam += coeffs[i] * overlap[i, a] * dmats[i, a]
-
     second = np.zeros((ds_to, ds_to), dtype=np.complex128)
     for i in range(rank):
         for a in range(de_from):
-            d = dmats[i, a]
+            d = (t @ np.kron(left[:, i], ref_vecs[:, a])).reshape(ds_to, de_to)
+            lam += coeffs[i] * overlap[i, a] * d
             second += probs[i] * ref_probs[a] * (d @ d.conj().T)
 
     amat = lam @ lam.conj().T - second

@@ -71,6 +71,7 @@ from .linalg import (
     InvariantViolation,
     _checked_spectrum,
     _kron,
+    _require_within,
     _spectral_entropy,
     check_ensemble,
     maximally_mixed,
@@ -212,7 +213,7 @@ def _teleport_check(cfg: ScenarioConfig):
     check_compatible(s_a, spec_a)
     check_compatible(s_b, spec_b)
     pair = _GroupingPair(s_a.grouping, spec_a.rho_ref, s_b.grouping, spec_b.rho_ref)
-    if pair.lemma2 <= DEFECT_THRESHOLD:
+    if not pair.lemma2 > DEFECT_THRESHOLD:
         raise InvariantViolation(f"teleport-check: commutator defect {pair.lemma2:.3e} unexpectedly small")
 
     header = [
@@ -235,12 +236,8 @@ def _teleport_check(cfg: ScenarioConfig):
         y_a = vector_to_structure_basis(psi, s_a)
         rho_a = y_a @ y_a.conj().T
         p_rho = _project_in_basis(rho_a, s_a, spec_a)
-        fixed_point_defect = trace_norm(p_rho - rho_a)
-        if fixed_point_defect > 1e-10:
-            raise InvariantViolation(
-                f"teleport-check: projection onto the entangled-pair reference should leave"
-                f" the state invariant (defect {fixed_point_defect:.3e})"
-            )
+        what = "teleport-check: projection onto the entangled-pair reference should leave the state invariant: defect"
+        _require_within(trace_norm(p_rho - rho_a), 1e-10, InvariantViolation, what)
         rel = trace_norm(_reduce(rho_a - p_rho, s_a, "S"))
         ev12 = _descending(_checked_spectrum(red_sp, "reduced S' state")[1])
         ev1 = _descending(_checked_spectrum(red_s, "reduced S state")[1])
@@ -440,8 +437,7 @@ def _lemma2_trial(cfg: ScenarioConfig, trial: int) -> list:
     # (Tr_E(P_A rho) - Tr_E rho) (x) R_A stays at roundoff, and its trace norm
     # is ||Tr_E(rho - P_A rho)||_1, since ||R_A||_1 = tr R_A = 1
     control = trace_norm(_same_structure_reduction(y_a, s_a, spec))
-    if control > TRACE_RESIDUAL_TOL:
-        raise InvariantViolation(f"lemma2-sweep: idempotency residual {control:.3e} exceeds {TRACE_RESIDUAL_TOL:.0e}")
+    _require_within(control, TRACE_RESIDUAL_TOL, InvariantViolation, "lemma2-sweep: idempotency residual")
     return [trial, kind, defect, control]
 
 

@@ -32,6 +32,7 @@ from .linalg import (
     UNITARITY_TOL,
     _orthonormality_defect,
     _partial_trace,
+    _require_within,
     as_matrix,
     as_vector,
     check_density_matrix,
@@ -90,10 +91,7 @@ class Structure:
         if self.grouping is None:
             basis = require_square(self.basis, "structure unitary").copy()
             defect = _orthonormality_defect(basis)
-            if defect > UNITARITY_TOL:
-                raise ValueError(
-                    f"structure unitary is not unitary (defect {defect:.3e} > {UNITARITY_TOL:.0e})"
-                )
+            _require_within(defect, UNITARITY_TOL, ValueError, "structure unitary is not unitary: defect")
         else:
             dims, selected = FactorLayout(self.grouping[0]).dims, tuple(self.grouping[1])
             if _system_dim(dims, selected) != self.dim_s:

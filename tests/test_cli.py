@@ -318,3 +318,82 @@ def test_missing_key_error_does_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 1
         errors.add(proc.stderr)
     assert errors == {json.dumps({"error": "config", "message": "missing required config key: structure_a"}) + "\n"}
+
+
+
+def _overflow_inputs():
+    h = np.zeros((8, 8))
+    h[0, 1], h[1, 0] = 1.7e308, -1.7e308
+    off_diagonal = np.diag([0.25] * 4).astype(complex)
+    off_diagonal[0, 1] = off_diagonal[1, 0] = complex(1.7e308, 1.7e308)
+    return {
+        "unitary-1e200": (
+            "structure_a", {"unitary_file": "m.tpsw"}, 1e200 * np.eye(8), 2,
+            "structure_a: structure unitary is not unitary: defect = ",
+        ),
+        "hamiltonian-1.7e308": (
+            "hamiltonian", {"file": "m.tpsw"}, h, 0, "hamiltonian: H: not Hermitian: relative defect = "
+        ),
+        "rho-ref-trace-overflow": (
+            "projection_a", {"kind": "type_i", "rho_ref": {"file": "m.tpsw"}}, 1.7e308 * np.eye(4), 0,
+            "projection_a: type_i rho_ref: trace is not 1: |tr - 1| = inf",
+        ),
+        "rho-ref-scale-overflow": (
+            "projection_a", {"kind": "type_i", "rho_ref": {"file": "m.tpsw"}}, off_diagonal, 0,
+            "projection_a: type_i rho_ref: not Hermitian: relative defect = ",
+        ),
+    }
+
+
+# Each input overflows the measurement of one tolerance check: the defect or
+# trace it takes is inf or NaN, and the check rejects it.
+OVERFLOW_INPUTS = _overflow_inputs()
+
+
+def overflow_config(tmp_path, case: str) -> tuple[Path, str]:
+    """A dynamics-trace config with one overflowing matrix file input, and
+    the start of the config error that names the broken rule."""
+    key, value, m, split_dim, message = OVERFLOW_INPUTS[case]
+    write_matrix_file(tmp_path / "m.tpsw", m, split_dim=split_dim)
+    cfg = {
+        "version": 1,
+        "scenario": "dynamics-trace",
+        "base_seed": 0,
+        "output_dir": "out",
+        "layout": [2, 2, 2],
+        "structure_a": {"grouping": [0]},
+        "structure_b": {"grouping": [0, 1]},
+        "hamiltonian": {"gue_seed": 3},
+        "initial_state": {"kind": "random_pure", "seed": 3},
+        "time_grid": {"t0": 0.0, "t1": 1.0, "steps": 2},
+        key: value,
+    }
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    return config, message
+
+
+def assert_one_config_error(code: int, out: str, err: str, message: str) -> None:
+    assert code == 1, err
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1, err
+    error = json.loads(lines[0])
+    assert error["error"] == "config"
+    assert error["message"].startswith(message) and error["message"].endswith(", not within 1e-10"), error
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_INPUTS))
+def test_an_overflowing_check_fails_closed(tmp_path, capsys, case):
+    # a RuntimeWarning from the check would fail this test, and a NaN that
+    # passed it would fail later with another error or none
+    config, message = overflow_config(tmp_path, case)
+    code = main(["run", str(config), "--output-dir", str(tmp_path / "out")])
+    assert_one_config_error(code, *capsys.readouterr(), message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_process_entry_rejects_an_overflowing_unitary_with_one_json_line(tmp_path):
+    config, message = overflow_config(tmp_path, "unitary-1e200")
+    proc = run_process(["run", str(config), "--output-dir", str(tmp_path / "out")], tmp_path)
+    assert_one_config_error(proc.returncode, proc.stdout, proc.stderr, message)
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpslab import config, load_config
+from tpslab import config, load_config, maximally_mixed, write_matrix_file
 from tpslab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,6 +77,17 @@ def test_dynamics_trace_accepts_only_type_i_projections(tmp_path, capsys, name, 
 def test_type_i_projection_with_a_missing_rho_ref_file(tmp_path, capsys):
     cfg = dynamics_config(projection_b={"kind": "type_i", "rho_ref": {"file": "missing.tpsw"}})
     assert "projection_b.rho_ref.file: no such file" in config_error(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("name, file_dim, dim_e", [("projection_a", 2, 4), ("projection_b", 4, 2)])
+def test_type_i_rho_ref_of_the_wrong_dimension(tmp_path, capsys, name, file_dim, dim_e):
+    # a valid state, but of the other structure's environment: check_compatible
+    # rejects it, and the config error names the key
+    write_matrix_file(tmp_path / "rho_ref.tpsw", maximally_mixed(file_dim))
+    cfg = dynamics_config(**{name: {"kind": "type_i", "rho_ref": {"file": "rho_ref.tpsw"}}})
+    assert config_error(tmp_path, capsys, cfg) == (
+        f"{name}: type_i: environment dim {file_dim} does not match structure environment dim {dim_e}"
+    )
 
 
 INITIAL_STATES = {

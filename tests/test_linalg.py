@@ -17,7 +17,7 @@ from tpslab import (
     trace_norm,
     von_neumann_entropy,
 )
-from tpslab.linalg import _checked_spectrum
+from tpslab.linalg import _checked_spectrum, _require_within
 from oracles import hermiticity_defect, kron
 from conftest import bell_density, propagator, stream
 
@@ -198,6 +198,30 @@ class TestHermiticityDefect:
             monkeypatch.setattr(linalg, "_HERMITICITY_BLOCK_BYTES", block_bytes)
             assert hermiticity_defect(m) == want
         assert hermiticity_defect(np.zeros((3, 3))) == 0.0
+
+
+class TestRequireWithin:
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1e-10])
+    def test_a_value_at_or_below_the_tolerance_is_returned(self, value):
+        assert _require_within(value, 1e-10, ValueError, "defect") is value
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2e-10])
+    def test_nan_inf_and_a_value_above_fail(self, value):
+        with pytest.raises(KeyError, match="defect"):
+            _require_within(value, 1e-10, KeyError, "defect")
+
+    def test_the_message_holds_the_value_and_the_tolerance(self):
+        with pytest.raises(ValueError) as exc:
+            _require_within(0.25, 0.125, ValueError, "rho: trace residual")
+        assert str(exc.value) == "rho: trace residual = 2.500e-01, not within 0.125"
+
+    @pytest.mark.parametrize("big", [1.7e308, 1e200])
+    def test_an_overflowing_measurement_fails_without_a_warning(self, big):
+        # the filterwarnings setting turns a RuntimeWarning into an error
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density_matrix(np.array([[0.5, big * (1 + 1j)], [big * (1 + 1j), 0.5]]))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            linalg.check_ensemble([1.0], big * np.eye(4)[:, :1])
 
 
 class TestSchmidt:

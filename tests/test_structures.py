@@ -134,7 +134,8 @@ class TestUnitaryStructure:
     def test_rejects_non_unitary_with_defect(self):
         w = np.eye(4, dtype=complex)
         w[2, :] = 0.0
-        with pytest.raises(ValueError, match="not unitary .defect"):
+        # the one tolerance check names the defect, ||W^H W - I||_F = 1 here
+        with pytest.raises(ValueError, match=r"^structure unitary is not unitary: defect = 1\.000e\+00, not within 1e-10$"):
             structure_from_unitary(w, 2, 2)
 
     def test_rejects_bad_split_dims(self):

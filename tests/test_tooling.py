@@ -118,6 +118,51 @@ def test_no_oracle_is_also_defined_in_src():
     assert offenders == []
 
 
+TOLERANCE_NAMES = {"HERMITICITY_TOL", "UNITARITY_TOL", "TRACE_TOL", "PSD_FLOOR", "PURE_NORM_TOL", "TRACE_RESIDUAL_TOL"}
+
+
+def tolerance_comparisons(source: str, filename: str = "<source>") -> list[int]:
+    """The lines of ``source`` that compare a value with a named tolerance,
+    anywhere in the comparison's operands."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, ast.Compare)
+        and {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)} & TOLERANCE_NAMES
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "if defect > UNITARITY_TOL:\n    raise ValueError(defect)\n",
+        "if w[0] < PSD_FLOOR:\n    raise ValueError(w)\n",
+        "if not -w[0] <= -PSD_FLOOR:\n    raise ValueError(w)\n",
+        "ok = linalg.TRACE_TOL >= abs(tr - 1.0)",
+        "def f(control):\n    return control > TRACE_RESIDUAL_TOL\n",
+    ],
+)
+def test_tolerance_comparisons_are_found(source):
+    assert tolerance_comparisons(source)
+
+
+def test_a_tolerance_passed_to_the_check_is_no_comparison():
+    assert tolerance_comparisons('_require_within(abs(n - 1.0), PURE_NORM_TOL, ValueError, "psi: norm")') == []
+
+
+def test_only_the_one_check_compares_with_a_tolerance():
+    # linalg._require_within owns the rule "value <= tol", under which NaN
+    # and inf fail; a hand-written "if value > tol: raise" lets NaN through
+    modules = sorted((ROOT / "src" / "tpslab").glob("*.py"))
+    assert "linalg.py" in {path.name for path in modules}
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in modules
+        for line in tolerance_comparisons(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert offenders == []
+
+
 # The public dense route: functions on d x d states in reference
 # coordinates, which the tests hold as the second route to every report.
 DENSE_ROUTE = {
