@@ -42,6 +42,7 @@ from .linalg import (
     UNITARITY_TOL,
     InvariantViolation,
     _checked_hermitian,
+    _cholesky_succeeds,
     _orthonormality_defect,
     _phases,
     _require_within,
@@ -624,19 +625,15 @@ def _lanczos_interval(h: np.ndarray) -> tuple[float, float]:
 
 def _holds_spectrum(h: np.ndarray, lo: float, hi: float) -> bool:
     """Whether [lo, hi] provably holds H's spectrum: hi I - H and H - lo I
-    must both have a Cholesky factorization, that is, be positive definite."""
-    return _positive_definite(h, hi, 1.0) and _positive_definite(h, -lo, -1.0)
+    must both have a Cholesky factorization, that is, be positive definite.
+    Both are factored in place, one after the other, in one work buffer."""
+    work = np.empty(h.shape, dtype=np.complex128)
+    return _positive_definite(h, hi, 1.0, work) and _positive_definite(h, -lo, -1.0, work)
 
 
-def _positive_definite(h: np.ndarray, edge: float, sign: float) -> bool:
-    """Whether edge I - sign H has a Cholesky factorization.  The
-    transposed view of the Hermitian matrix is its conjugate, which has
-    the same verdict; it is Fortran-ordered, so LAPACK gets it without a
-    strided copy."""
-    a = h * -sign
-    a.flat[:: h.shape[0] + 1] += edge
-    try:
-        np.linalg.cholesky(a.T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _positive_definite(h: np.ndarray, edge: float, sign: float, work: np.ndarray) -> bool:
+    """Whether edge I - sign H, formed in ``work``, has a Cholesky
+    factorization; the factorization overwrites it."""
+    np.multiply(h, -sign, out=work)
+    work.flat[:: h.shape[0] + 1] += edge
+    return _cholesky_succeeds(work)

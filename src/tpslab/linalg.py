@@ -8,7 +8,10 @@ plain ``reshape`` calls.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -105,7 +108,67 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     A nonzero corner m[0, -1] rules that out without counting the entries."""
     if m.shape[0] < 2 or (m[0, -1] == 0 and np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))):
         return np.sort(np.diagonal(m).real)
-    return np.linalg.eigvalsh((m + m.conj().T) / 2)
+    # halving first is exact for normal-range entries, so these are the bits
+    # of (m + m^H) / 2, with no overflow and one fewer temporary
+    h = m * 0.5
+    h += h.conj().T
+    return np.linalg.eigvalsh(h)
+
+
+@functools.cache
+def _openblas():
+    """``(get_num_threads, set_num_threads, zpotrf)`` of numpy's bundled
+    OpenBLAS, through ctypes, or None where numpy bundles none, as its macOS
+    and Windows wheels and conda builds do.  ``zpotrf(a)`` runs LAPACK's
+    Cholesky, uplo 'L', in place on the Fortran-ordered view ``a.T`` of a
+    C-ordered square complex128 ``a`` and returns LAPACK's ``info``: the
+    routine and the bytes of ``np.linalg.cholesky(a.T)``.  Its symbol takes
+    the prefix and suffix of the thread functions, and 64-bit integers where
+    the suffix is ``64_``.  Looked up on first use, once per process."""
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs_dir.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, lapack in (("scipy_openblas", "scipy_"), ("openblas", "")):
+            for suffix in ("64_", ""):
+                threads = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                names = (*threads, f"{lapack}zpotrf_{suffix}")
+                if all(hasattr(lib, name) for name in names):
+                    get, set_, potrf = (getattr(lib, name) for name in names)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    integer = ctypes.c_int64 if suffix == "64_" else ctypes.c_int
+                    ref = ctypes.POINTER(integer)
+                    potrf.argtypes, potrf.restype = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref], None
+
+                    def zpotrf(a: np.ndarray) -> int:
+                        # LAPACK reads and writes n * n entries behind the pointer
+                        if a.dtype != np.complex128 or a.shape != (len(a), len(a)) or not a.flags.carray:
+                            raise ValueError("zpotrf: expected a writeable C-ordered square complex128 array")
+                        n, info = integer(a.shape[0]), integer(0)
+                        potrf(b"L", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+                        return info.value
+
+                    return get, set_, zpotrf
+    return None
+
+
+def _cholesky_succeeds(a: np.ndarray) -> bool:
+    """Whether LAPACK's Cholesky factors the Hermitian ``a``, a C-ordered
+    square complex128 array, which it overwrites: ``a`` is positive definite
+    exactly when its transposed view, its conjugate, is.  Through numpy's
+    own OpenBLAS when :func:`_openblas` finds it, else by numpy."""
+    blas = _openblas()
+    return _numpy_cholesky_succeeds(a) if blas is None else blas[2](a) == 0
+
+
+def _numpy_cholesky_succeeds(a: np.ndarray) -> bool:
+    """:func:`_cholesky_succeeds` by ``np.linalg.cholesky``, which factors a
+    copy of the same bytes."""
+    try:
+        np.linalg.cholesky(a.T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _checked_spectrum(rho, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:

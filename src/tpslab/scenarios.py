@@ -55,7 +55,6 @@ to roundoff and serve as the tests' second route.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -71,6 +70,7 @@ from .linalg import (
     InvariantViolation,
     _checked_spectrum,
     _kron,
+    _openblas,
     _require_within,
     _spectral_entropy,
     check_ensemble,
@@ -265,27 +265,6 @@ _CHUNKS_PER_WORKER = 8
 _worker_task = None
 
 
-@functools.cache
-def _openblas_thread_api():
-    """``(get_num_threads, set_num_threads)`` of numpy's bundled OpenBLAS,
-    through ctypes, or None when that library is not found.  Looked up once
-    per process."""
-    import ctypes
-
-    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs_dir.glob("lib*openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
-
-
 def _init_worker(trial_fn, cfg) -> None:
     global _worker_task
     _worker_task = (trial_fn, cfg)
@@ -316,10 +295,10 @@ def _map_trials(trial_fn, cfg: ScenarioConfig, workers: int | None = None) -> li
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     trials = cfg.trials
     workers = min(workers, trials)
-    blas = _openblas_thread_api()
+    blas = _openblas()
     if blas is None:
         return [trial_fn(cfg, trial) for trial in range(trials)]
-    get_threads, set_threads = blas
+    get_threads, set_threads, _ = blas
     threads = get_threads()
     set_threads(1)
     try:

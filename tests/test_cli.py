@@ -274,15 +274,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def run_python(args, cwd, **env_vars):
+    """``python`` with ``args`` in a new process that imports the package from
+    ``src``.  ``env_vars`` are added to its environment."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.update(env_vars)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
 def run_process(args, cwd, **env_vars):
     """``python -m tpslab.cli`` in a new process, importing the package from
     ``src``: the module's ``__main__`` guard calls ``entry()``.  ``env_vars``
     are added to its environment."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.update(env_vars)
-    return subprocess.run(
-        [sys.executable, "-m", "tpslab.cli", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
-    )
+    return run_python(["-m", "tpslab.cli", *args], cwd, **env_vars)
 
 
 def test_process_entry_runs_a_golden_config(tmp_path):
@@ -292,6 +296,44 @@ def test_process_entry_runs_a_golden_config(tmp_path):
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [f"summary: {out / 'summary.json'}", f"series: {out / 'series.csv'}"]
     assert (out / "series.csv").is_file()
+
+
+# Reads the peak RSS of one CLI run in KiB, the unit of ru_maxrss on Linux,
+# against the interpreter with tpslab imported and numpy.random drawn from.
+PEAK_RSS_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from tpslab.cli import main
+np.random.default_rng(0).random()
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(["run", sys.argv[1], "--output-dir", sys.argv[2]])
+print(json.dumps([code, base, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux only")
+def test_dynamics_run_at_d1024_peaks_within_3_h(tmp_path):
+    # H takes 16 MiB; the propagation proof factors in one work buffer, and
+    # a proof that formed and copied edge I - sign H per bound peaked at 4.6 H
+    cfg = {
+        "version": 1,
+        "scenario": "dynamics-trace",
+        "base_seed": 0,
+        "output_dir": "out",
+        "layout": [2] * 10,
+        "structure_a": {"grouping": [0]},
+        "structure_b": {"grouping": [0, 1, 2, 3]},
+        "hamiltonian": {"gue_seed": 7},
+        "initial_state": {"kind": "random_pure", "seed": 8},
+        "time_grid": {"t0": 0.0, "t1": 0.2, "steps": 4},
+    }
+    config = tmp_path / "d1024.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = run_python(["-c", PEAK_RSS_SCRIPT, str(config), str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, base, peak = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert (peak - base) * 1024 <= 3 * 1024**2 * 16
 
 
 def test_process_entry_rejects_a_bad_config_with_one_json_line(tmp_path):
@@ -326,6 +368,8 @@ def _overflow_inputs():
     h[0, 1], h[1, 0] = 1.7e308, -1.7e308
     off_diagonal = np.diag([0.25] * 4).astype(complex)
     off_diagonal[0, 1] = off_diagonal[1, 0] = complex(1.7e308, 1.7e308)
+    hermitian = np.diag([0.25] * 4)
+    hermitian[0, 1] = hermitian[1, 0] = 1.7e308
     return {
         "unitary-1e200": (
             "structure_a", {"unitary_file": "m.tpsw"}, 1e200 * np.eye(8), 2,
@@ -342,11 +386,18 @@ def _overflow_inputs():
             "projection_a", {"kind": "type_i", "rho_ref": {"file": "m.tpsw"}}, off_diagonal, 0,
             "projection_a: type_i rho_ref: not Hermitian: relative defect = ",
         ),
+        # exactly Hermitian, so only the spectrum rejects it: (m + m^H) / 2
+        # would overflow, m / 2 + m^H / 2 does not
+        "rho-ref-hermitian-part-overflow": (
+            "projection_a", {"kind": "type_i", "rho_ref": {"file": "m.tpsw"}}, hermitian, 0,
+            "projection_a: type_i rho_ref: not positive semidefinite: -min eigenvalue = 1.700e+308",
+        ),
     }
 
 
-# Each input overflows the measurement of one tolerance check: the defect or
-# trace it takes is inf or NaN, and the check rejects it.
+# Each input overflows the measurement of one tolerance check, the defect or
+# trace it takes is inf or NaN, and the check rejects it; or it is exactly
+# Hermitian, and its spectrum, taken without overflow, fails its check.
 OVERFLOW_INPUTS = _overflow_inputs()
 
 

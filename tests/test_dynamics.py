@@ -22,6 +22,7 @@ from tpslab import (
     cross_relevance_matrix,
     dynamics,
     from_structure_basis,
+    linalg,
     load_config,
     mix_seed,
     mutual_information,
@@ -670,13 +671,24 @@ class TestPropagationRoutes:
         assert [dataclasses.astuple(p) for p in got] == [dataclasses.astuple(p) for p in want]
         assert taken == ["_eigh_route", "_eigh_route"]
 
-    @pytest.mark.parametrize("dim", [16, 64, 256])
-    def test_proof_verdict_is_that_of_the_untransposed_matrix(self, dim):
+    @pytest.mark.parametrize(
+        "dim, cholesky",
+        [(dim, cholesky) for cholesky in ("zpotrf", "numpy") for dim in (16, 64, 256)],
+        ids=["16", "64", "256", "16-numpy", "64-numpy", "256-numpy"],
+    )
+    def test_proof_verdict_is_that_of_the_untransposed_matrix(self, monkeypatch, dim, cholesky):
         # _positive_definite factors the transposed view of edge I - sign H,
-        # its conjugate; at edges that cross either end of the spectrum by
-        # 1e-16 to 1e-6 of its value, it gives numpy's verdict on the matrix
+        # its conjugate, in place by numpy's OpenBLAS zpotrf, or by numpy
+        # where that is not found; at edges that cross either end of the
+        # spectrum by 1e-16 to 1e-6 of its value, it gives numpy's verdict
+        # on the matrix
+        if cholesky == "zpotrf" and linalg._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        if cholesky == "numpy":
+            monkeypatch.setattr(linalg, "_openblas", lambda: None)
         h = gue_hamiltonian(dim, 187).mat
         spectrum = np.linalg.eigvalsh(h)
+        work = np.empty_like(h)
         verdicts = []
         for sign, extreme in ((1.0, spectrum[-1]), (-1.0, -spectrum[0])):
             for rel in np.logspace(-16, -6, 21):
@@ -689,9 +701,29 @@ class TestPropagationRoutes:
                         want = True
                     except np.linalg.LinAlgError:
                         want = False
-                    assert dynamics._positive_definite(h, edge, sign) is want, (sign, rel, side)
+                    assert dynamics._positive_definite(h, edge, sign, work) is want, (sign, rel, side)
                     verdicts.append(want)
         assert len(verdicts) == 84 and 0 < sum(verdicts) < 84
+
+    def test_proof_leaves_h_as_it_was(self):
+        h = gue_hamiltonian(64, 188).mat
+        before = h.copy()
+        lo, hi = dynamics._lanczos_interval(h)
+        assert dynamics._holds_spectrum(h, lo, hi)
+        assert h.tobytes() == before.tobytes() and not h.flags.writeable
+
+    def test_proof_peaks_at_one_work_buffer(self):
+        # both bounds factor in place in one buffer of H's size; a fresh
+        # edge I - sign H and a copy of it per bound peaked at 2 H
+        h = gue_hamiltonian(512, 189).mat
+        lo, hi = dynamics._lanczos_interval(h)
+        tracemalloc.start()
+        try:
+            assert dynamics._holds_spectrum(h, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * h.nbytes
 
     @pytest.mark.parametrize("setup", [_nested_groupings, _grouping_and_haar], ids=["groupings", "grouping-haar"])
     def test_maximally_mixed_state_is_not_propagated(self, monkeypatch, setup):

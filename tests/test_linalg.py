@@ -200,6 +200,25 @@ class TestHermiticityDefect:
         assert hermiticity_defect(np.zeros((3, 3))) == 0.0
 
 
+class TestInPlaceCholesky:
+    @pytest.mark.skipif(linalg._openblas() is None, reason="numpy bundles no OpenBLAS")
+    @pytest.mark.parametrize("kind", ["float64", "fortran-ordered", "read-only", "not-square"])
+    def test_zpotrf_rejects_an_array_it_would_overrun(self, kind):
+        eye = np.eye(4, dtype=complex)
+        read_only = eye.copy()
+        read_only.setflags(write=False)
+        a = {
+            "float64": np.eye(4),
+            "fortran-ordered": np.asfortranarray(eye),
+            "read-only": read_only,
+            "not-square": np.eye(4, 3, dtype=complex),
+        }[kind]
+        before = a.copy()
+        with pytest.raises(ValueError, match="zpotrf"):
+            linalg._openblas()[2](a)
+        assert np.array_equal(a, before)
+
+
 class TestRequireWithin:
     @pytest.mark.parametrize("value", [0.0, -1.0, 1e-10])
     def test_a_value_at_or_below_the_tolerance_is_returned(self, value):

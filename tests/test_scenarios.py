@@ -38,7 +38,7 @@ from oracles import dense_unitary, idempotency_defect, kron, project_terms, term
 from conftest import max_mixed_spec, teleport_setup
 
 MAP_TRIALS = scenarios._map_trials
-BLAS = scenarios._openblas_thread_api()
+BLAS = scenarios._openblas()
 
 needs_pool = pytest.mark.skipif(
     BLAS is None or "fork" not in multiprocessing.get_all_start_methods(),
@@ -198,7 +198,7 @@ def test_workers_run_one_os_thread(two_blas_threads):
 def test_trials_run_in_this_process_without_openblas(oracle_configs, monkeypatch):
     cfg = dataclasses.replace(oracle_configs["2222", "grouping"][0], trials=9)
     pooled = MAP_TRIALS(pid_lemma1_trial, cfg, workers=2)
-    monkeypatch.setattr(scenarios, "_openblas_thread_api", lambda: None)
+    monkeypatch.setattr(scenarios, "_openblas", lambda: None)
     rows = MAP_TRIALS(pid_lemma1_trial, cfg, workers=2)
     assert [r[1] for r in rows] == list(range(9))
     assert {r[0] for r in rows} == {os.getpid()}

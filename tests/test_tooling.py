@@ -327,6 +327,7 @@ NOT_RUN_BY_THE_CLI = {
     "structures.to_structure_basis": "perfbench/layers.py traces it",
     "structures.from_structure_basis": "perfbench/layers.py traces it",
     "linalg.partial_trace": "perfbench/layers.py traces it",
+    "linalg._numpy_cholesky_succeeds": "runs where numpy bundles no OpenBLAS",
 }
 
 

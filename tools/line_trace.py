@@ -110,11 +110,11 @@ def trace_report_configs(directory: Path) -> Trace:
     previous = sys.gettrace()
     sys.settrace(start)
     try:
-        from tpslab import scenarios
+        from tpslab import linalg, scenarios
         from tpslab.cli import main
 
         # a cached call enters no Python function
-        scenarios._openblas_thread_api.cache_clear()
+        linalg._openblas.cache_clear()
         with mock.patch.object(scenarios, "_map_trials", functools.partial(scenarios._map_trials, workers=1)):
             for i, (label, config) in enumerate(report_configs(ROOT, directory / "inputs")):
                 sweep = json.loads(config.read_text(encoding="utf-8"))["scenario"] in SWEEPS
